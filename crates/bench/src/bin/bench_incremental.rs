@@ -73,11 +73,12 @@
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --smoke --threads 1,2
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hk_abi::{KernelParams, Sysno};
-use hk_core::{verify_image, HandlerReport, VerifyConfig};
+use hk_core::{verify_image, HandlerReport, VerifyConfig, VerifyReport};
 use hk_kernel::KernelImage;
+use hk_smt::Stats;
 
 /// The handlers the Figure-7 bug classes land in: file descriptors,
 /// page-table allocation, I/O privilege, and pipe transfer — the
@@ -119,84 +120,6 @@ const CERTIFY_HANDLERS: [Sysno; 5] = [
 const MAX_CONFLICTS: u64 = 10_000_000;
 const MAX_SOLVE_MS: u64 = 600_000;
 
-struct Measurement {
-    name: &'static str,
-    verdict: &'static str,
-    encode: Duration,
-    solve: Duration,
-    total: Duration,
-    queries: u64,
-    cnf_clauses: usize,
-    conflicts: u64,
-    restarts: u64,
-    db_reductions: u64,
-    learnts_removed: u64,
-    scope_gc_clauses: u64,
-    probe_units: u64,
-    subsumed: u64,
-    strengthened: u64,
-    escalations: u64,
-    unsat_queries: u64,
-    certified_unsat: u64,
-    proofs_checked: u64,
-    proof_steps: u64,
-    proof_bytes: u64,
-    check_time: Duration,
-    races: u64,
-    race_workers: u64,
-    clauses_exported: u64,
-    clauses_imported: u64,
-    cubes_total: u64,
-    cubes_solved: u64,
-    simplify_time: Duration,
-    simplify_rewrites: u64,
-    simplify_bits_pinned: u64,
-    simplify_conjuncts_before: u64,
-    simplify_conjuncts_after: u64,
-    simplify_coi_dropped: u64,
-    statically_discharged: u64,
-}
-
-fn measure(report: &HandlerReport) -> Measurement {
-    Measurement {
-        name: report.sysno.func_name(),
-        verdict: report.verdict(),
-        encode: report.phases.encode_time,
-        solve: report.phases.solve_time,
-        total: report.time,
-        queries: report.phases.queries,
-        cnf_clauses: report.cnf_clauses,
-        conflicts: report.conflicts,
-        restarts: report.phases.restarts,
-        db_reductions: report.phases.db_reductions,
-        learnts_removed: report.phases.learnts_removed,
-        scope_gc_clauses: report.phases.scope_gc_clauses,
-        probe_units: report.phases.probe_units,
-        subsumed: report.phases.subsumed,
-        strengthened: report.phases.strengthened,
-        escalations: report.phases.escalations,
-        unsat_queries: report.phases.unsat_queries,
-        certified_unsat: report.phases.certified_unsat,
-        proofs_checked: report.phases.proofs_checked,
-        proof_steps: report.phases.proof_steps,
-        proof_bytes: report.phases.proof_bytes,
-        check_time: report.phases.proof_check_time,
-        races: report.phases.races,
-        race_workers: report.phases.race_workers,
-        clauses_exported: report.phases.clauses_exported,
-        clauses_imported: report.phases.clauses_imported,
-        cubes_total: report.phases.cubes_total,
-        cubes_solved: report.phases.cubes_solved,
-        simplify_time: report.phases.simplify_time,
-        simplify_rewrites: report.phases.simplify_rewrites,
-        simplify_bits_pinned: report.phases.simplify_bits_pinned,
-        simplify_conjuncts_before: report.phases.simplify_conjuncts_before,
-        simplify_conjuncts_after: report.phases.simplify_conjuncts_after,
-        simplify_coi_dropped: report.phases.simplify_coi_dropped,
-        statically_discharged: report.phases.statically_discharged,
-    }
-}
-
 /// The feature-flag header every benchmark artifact carries, so a
 /// reader never has to infer from the filename which subsystems were
 /// active in the run that produced it.
@@ -223,7 +146,7 @@ fn run(
     certify: bool,
     threads: usize,
     simplify: bool,
-) -> (Vec<Measurement>, Duration) {
+) -> VerifyReport {
     let mut config = VerifyConfig {
         params,
         threads,
@@ -236,39 +159,11 @@ fn run(
     config.solver.simplify = simplify;
     config.solver.sat.max_conflicts = Some(MAX_CONFLICTS);
     config.solver.sat.max_solve_ms = Some(MAX_SOLVE_MS);
-    let wall = Instant::now();
-    let report = verify_image(image, &config);
-    let wall = wall.elapsed();
-    (report.handlers.iter().map(measure).collect(), wall)
+    verify_image(image, &config)
 }
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-fn json_entry(m: &Measurement, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"encode_ms\": {:.3}, \"solve_ms\": {:.3}, \"total_ms\": {:.3}, \
-         \"queries\": {}, \"cnf_clauses\": {}, \"conflicts\": {}, \"restarts\": {}, \
-         \"db_reductions\": {}, \"learnts_removed\": {}, \"scope_gc_clauses\": {}, \
-         \"probe_units\": {}, \"subsumed\": {}, \"strengthened\": {}, \
-         \"escalations\": {}, \"verdict\": \"{}\"}}",
-        ms(m.encode),
-        ms(m.solve),
-        ms(m.total),
-        m.queries,
-        m.cnf_clauses,
-        m.conflicts,
-        m.restarts,
-        m.db_reductions,
-        m.learnts_removed,
-        m.scope_gc_clauses,
-        m.probe_units,
-        m.subsumed,
-        m.strengthened,
-        m.escalations,
-        m.verdict,
-    ));
 }
 
 /// Percentage overhead of `new` over `base` (positive = slower).
@@ -276,38 +171,26 @@ fn pct(new: f64, base: f64) -> f64 {
     (new - base) / base.max(1e-6) * 100.0
 }
 
-fn json_proof_entry(m: &Measurement, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"solve_ms\": {:.3}, \"total_ms\": {:.3}, \"queries\": {}, \
-         \"unsat_queries\": {}, \"certified_unsat\": {}, \"proofs_checked\": {}, \
-         \"proof_steps\": {}, \"proof_bytes\": {}, \"check_ms\": {:.3}, \"verdict\": \"{}\"}}",
-        ms(m.solve),
-        ms(m.total),
-        m.queries,
-        m.unsat_queries,
-        m.certified_unsat,
-        m.proofs_checked,
-        m.proof_steps,
-        m.proof_bytes,
-        ms(m.check_time),
-        m.verdict,
-    ));
+/// Wall-clock milliseconds summed over a run's handlers.
+fn handler_sum_ms(r: &VerifyReport) -> f64 {
+    r.handlers.iter().map(|h| ms(h.time)).sum()
 }
 
 /// Budget-artifact-tolerant verdict agreement (see the PR2 table loop).
-fn check_verdicts(a: &Measurement, b: &Measurement, what: &str) {
-    assert_eq!(a.name, b.name);
-    if a.verdict != b.verdict {
+fn check_verdicts(a: &HandlerReport, b: &HandlerReport, what: &str) {
+    let name = a.sysno.func_name();
+    assert_eq!(a.sysno, b.sysno);
+    if a.verdict() != b.verdict() {
         assert!(
-            a.verdict == "UNKNOWN" || b.verdict == "UNKNOWN",
-            "{what} changed the verdict for {}: {} vs {}",
-            a.name,
-            a.verdict,
-            b.verdict
+            a.verdict() == "UNKNOWN" || b.verdict() == "UNKNOWN",
+            "{what} changed the verdict for {name}: {} vs {}",
+            a.verdict(),
+            b.verdict()
         );
         println!(
-            "note: {} hit the conflict budget in one mode ({} vs {} {what})",
-            a.name, a.verdict, b.verdict
+            "note: {name} hit the conflict budget in one mode ({} vs {} {what})",
+            a.verdict(),
+            b.verdict()
         );
     }
 }
@@ -326,76 +209,75 @@ fn run_certify_bench(
         "proof-machinery benchmark over {} handler(s), cold cache\n",
         handlers.len()
     );
-    let (baseline, b_wall) = run(image, params, handlers, true, false, false, 1, false);
-    let (disabled, _) = run(image, params, handlers, true, false, false, 1, false);
-    let (logged, _) = run(image, params, handlers, true, true, false, 1, false);
-    let (certified, c_wall) = run(image, params, handlers, true, false, true, 1, false);
+    let baseline = run(image, params, handlers, true, false, false, 1, false);
+    let disabled = run(image, params, handlers, true, false, false, 1, false);
+    let logged = run(image, params, handlers, true, true, false, 1, false);
+    let certified = run(image, params, handlers, true, false, true, 1, false);
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
         "handler", "base", "disabled", "log", "certify", "log %", "cert %"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
-    for (i, b) in baseline.iter().enumerate() {
-        let (d, l, c) = (&disabled[i], &logged[i], &certified[i]);
+    for (i, b) in baseline.handlers.iter().enumerate() {
+        let (d, l, c) = (
+            &disabled.handlers[i],
+            &logged.handlers[i],
+            &certified.handlers[i],
+        );
         check_verdicts(b, l, "proof logging");
         check_verdicts(b, c, "certification");
-        let log_pct = pct(ms(l.total), ms(b.total));
-        let cert_pct = pct(ms(c.total), ms(b.total));
+        let log_pct = pct(ms(l.time), ms(b.time));
+        let cert_pct = pct(ms(c.time), ms(b.time));
         println!(
             "{:<18} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>7.1}% {:>7.1}%",
-            b.name,
-            ms(b.total),
-            ms(d.total),
-            ms(l.total),
-            ms(c.total),
+            b.sysno.func_name(),
+            ms(b.time),
+            ms(d.time),
+            ms(l.time),
+            ms(c.time),
             log_pct,
             cert_pct
         );
-        json.push_str(&format!("    \"{}\": {{\"baseline\": ", b.name));
-        json_proof_entry(b, &mut json);
-        json.push_str(", \"disabled_repeat\": ");
-        json_proof_entry(d, &mut json);
-        json.push_str(", \"proof_log\": ");
-        json_proof_entry(l, &mut json);
-        json.push_str(", \"certify\": ");
-        json_proof_entry(c, &mut json);
         json.push_str(&format!(
-            ", \"disabled_delta_pct\": {:.3}, \"proof_log_overhead_pct\": {log_pct:.3}, \
-             \"certify_overhead_pct\": {cert_pct:.3}}}",
-            pct(ms(d.total), ms(b.total))
+            "    \"{}\": {{\"baseline\": {}, \"disabled_repeat\": {}, \"proof_log\": {}, \
+             \"certify\": {}, \"disabled_delta_pct\": {:.3}, \
+             \"proof_log_overhead_pct\": {log_pct:.3}, \"certify_overhead_pct\": {cert_pct:.3}}}",
+            b.sysno.func_name(),
+            b.to_json(),
+            d.to_json(),
+            l.to_json(),
+            c.to_json(),
+            pct(ms(d.time), ms(b.time))
         ));
-        json.push_str(if i + 1 < baseline.len() { ",\n" } else { "\n" });
+        json.push_str(if i + 1 < baseline.handlers.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
-    let tot = |v: &[Measurement]| -> f64 { v.iter().map(|m| ms(m.total)).sum() };
     let (b_tot, d_tot, l_tot, c_tot) = (
-        tot(&baseline),
-        tot(&disabled),
-        tot(&logged),
-        tot(&certified),
+        handler_sum_ms(&baseline),
+        handler_sum_ms(&disabled),
+        handler_sum_ms(&logged),
+        handler_sum_ms(&certified),
     );
     let disabled_pct = pct(d_tot, b_tot);
     let log_pct = pct(l_tot, b_tot);
     let cert_pct = pct(c_tot, b_tot);
-    let sum = |f: &dyn Fn(&Measurement) -> u64| -> u64 { certified.iter().map(f).sum() };
-    let check_ms: f64 = certified.iter().map(|m| ms(m.check_time)).sum();
+    let t = certified.totals();
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"baseline_total_ms\": {b_tot:.3},\n    \
          \"disabled_total_ms\": {d_tot:.3},\n    \"proof_log_total_ms\": {l_tot:.3},\n    \
          \"certify_total_ms\": {c_tot:.3},\n    \"baseline_wall_ms\": {bw:.3},\n    \
          \"certify_wall_ms\": {cw:.3},\n    \"disabled_delta_pct\": {disabled_pct:.3},\n    \
          \"proof_log_overhead_pct\": {log_pct:.3},\n    \"certify_overhead_pct\": {cert_pct:.3},\n    \
-         \"unsat_queries\": {},\n    \"certified_unsat\": {},\n    \"proofs_checked\": {},\n    \
-         \"proof_steps\": {},\n    \"proof_bytes\": {},\n    \"check_time_ms\": {check_ms:.3}\n  }},\n  \
+         \"certify_phases\": {}\n  }},\n  \
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"incremental\": true, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {features}}}\n}}\n",
-        sum(&|m| m.unsat_queries),
-        sum(&|m| m.certified_unsat),
-        sum(&|m| m.proofs_checked),
-        sum(&|m| m.proof_steps),
-        sum(&|m| m.proof_bytes),
+        t.to_json(),
         handlers.len(),
-        bw = ms(b_wall),
-        cw = ms(c_wall),
+        bw = ms(baseline.total_time),
+        cw = ms(certified.total_time),
         features = features_json(true, false, true, false, false)
     ));
     println!(
@@ -406,12 +288,13 @@ fn run_certify_bench(
         "proof logging:   {l_tot:.1}ms ({log_pct:+.1}%), certified: {c_tot:.1}ms ({cert_pct:+.1}%)"
     );
     println!(
-        "certified {}/{} unsat answers, {} proofs checked, {} DRAT steps, {} bytes, {check_ms:.1}ms checking",
-        sum(&|m| m.certified_unsat),
-        sum(&|m| m.unsat_queries),
-        sum(&|m| m.proofs_checked),
-        sum(&|m| m.proof_steps),
-        sum(&|m| m.proof_bytes)
+        "certified {}/{} unsat answers, {} proofs checked, {} DRAT steps, {} bytes, {:.1}ms checking",
+        t.certified_unsat,
+        t.unsat_queries,
+        t.proofs_checked,
+        t.proof_steps,
+        t.proof_bytes,
+        ms(t.proof_check_time)
     );
     std::fs::write(out_path, &json).expect("write benchmark artifact");
     println!("\nwrote {}", out_path.display());
@@ -447,15 +330,15 @@ fn run_parallel_bench(
              on this host, not speedup\n"
         );
     }
-    let mut rows: Vec<(usize, Vec<Measurement>, Duration)> = Vec::new();
+    let mut rows: Vec<(usize, VerifyReport)> = Vec::new();
     for &t in thread_counts {
-        let (m, wall) = run(image, params, handlers, true, false, true, t, false);
+        let r = run(image, params, handlers, true, false, true, t, false);
         println!(
             "threads={t}: wall {:.1}ms, handler-sum {:.1}ms",
-            ms(wall),
-            m.iter().map(|x| ms(x.total)).sum::<f64>()
+            ms(r.total_time),
+            handler_sum_ms(&r)
         );
-        rows.push((t, m, wall));
+        rows.push((t, r));
     }
     println!(
         "\n{:<18} {}",
@@ -467,84 +350,70 @@ fn run_parallel_bench(
     );
     let base = &rows[0];
     let mut failed = false;
-    for (i, b) in base.1.iter().enumerate() {
+    for (i, b) in base.1.handlers.iter().enumerate() {
+        let name = b.sysno.func_name();
         let cells: String = rows
             .iter()
-            .map(|(_, m, _)| format!("{:>10.1}ms", ms(m[i].total)))
+            .map(|(_, r)| format!("{:>10.1}ms", ms(r.handlers[i].time)))
             .collect();
-        println!("{:<18} {cells}", b.name);
-        for (t, m, _) in &rows {
-            let p = &m[i];
-            assert_eq!(p.name, b.name);
-            if p.verdict != b.verdict && p.verdict != "UNKNOWN" && b.verdict != "UNKNOWN" {
+        println!("{name:<18} {cells}");
+        for (t, r) in &rows {
+            let p = &r.handlers[i];
+            assert_eq!(p.sysno, b.sysno);
+            let (pv, bv) = (p.verdict(), b.verdict());
+            if pv != bv && pv != "UNKNOWN" && bv != "UNKNOWN" {
                 // A Sat<->Unsat flip under racing is a soundness bug.
-                eprintln!(
-                    "FAIL: threads={t} changed the verdict for {}: {} vs {}",
-                    b.name, b.verdict, p.verdict
-                );
+                eprintln!("FAIL: threads={t} changed the verdict for {name}: {bv} vs {pv}");
                 failed = true;
             }
-            if p.verdict == "UNKNOWN" || b.verdict == "UNKNOWN" {
+            if pv == "UNKNOWN" || bv == "UNKNOWN" {
                 // The per-call wall budget is real time: a thread count
                 // the hardware cannot actually run divides the core and
                 // can time out a query that fits sequentially. That is
                 // an oversubscription artifact, same as the budget
                 // tolerance in the other modes — but within the
                 // hardware's parallelism it is a real regression.
-                if *t <= cores && p.verdict == "UNKNOWN" {
-                    eprintln!("FAIL: {} UNKNOWN at threads={t} ({cores} cores)", b.name);
+                if *t <= cores && pv == "UNKNOWN" {
+                    eprintln!("FAIL: {name} UNKNOWN at threads={t} ({cores} cores)");
                     failed = true;
                 } else {
                     println!(
-                        "note: {} hit a budget in one run ({} at t={}, {} at t={t})",
-                        b.name, b.verdict, base.0, p.verdict
+                        "note: {name} hit a budget in one run ({bv} at t={}, {pv} at t={t})",
+                        base.0
                     );
                 }
             }
-            if p.certified_unsat != p.unsat_queries {
+            if p.phases.certified_unsat != p.phases.unsat_queries {
                 eprintln!(
-                    "FAIL: {} certified only {}/{} unsat answers at threads={t}",
-                    b.name, p.certified_unsat, p.unsat_queries
+                    "FAIL: {name} certified only {}/{} unsat answers at threads={t}",
+                    p.phases.certified_unsat, p.phases.unsat_queries
                 );
                 failed = true;
             }
         }
     }
     let mut json = String::from("{\n  \"threads\": {\n");
-    for (r, (t, m, wall)) in rows.iter().enumerate() {
+    for (r, (t, report)) in rows.iter().enumerate() {
         json.push_str(&format!("    \"{t}\": {{\n      \"handlers\": {{\n"));
-        for (i, p) in m.iter().enumerate() {
+        for (i, h) in report.handlers.iter().enumerate() {
             json.push_str(&format!(
-                "        \"{}\": {{\"total_ms\": {:.3}, \"solve_ms\": {:.3}, \
-                 \"verdict\": \"{}\", \"races\": {}, \"race_workers\": {}, \
-                 \"clauses_exported\": {}, \"clauses_imported\": {}, \
-                 \"cubes_total\": {}, \"cubes_solved\": {}, \
-                 \"unsat_queries\": {}, \"certified_unsat\": {}}}{}\n",
-                p.name,
-                ms(p.total),
-                ms(p.solve),
-                p.verdict,
-                p.races,
-                p.race_workers,
-                p.clauses_exported,
-                p.clauses_imported,
-                p.cubes_total,
-                p.cubes_solved,
-                p.unsat_queries,
-                p.certified_unsat,
-                if i + 1 < m.len() { "," } else { "" }
+                "        \"{}\": {}{}\n",
+                h.sysno.func_name(),
+                h.to_json(),
+                if i + 1 < report.handlers.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
-        let sum_ms: f64 = m.iter().map(|x| ms(x.total)).sum();
-        let races: u64 = m.iter().map(|x| x.races).sum();
-        let cubes: u64 = m.iter().map(|x| x.cubes_solved).sum();
-        let shared: u64 = m.iter().map(|x| x.clauses_imported).sum();
         json.push_str(&format!(
-            "      }},\n      \"wall_ms\": {:.3},\n      \"handler_sum_ms\": {sum_ms:.3},\n      \
-             \"speedup_vs_t1\": {:.3},\n      \"races\": {races},\n      \
-             \"clauses_imported\": {shared},\n      \"cubes_solved\": {cubes}\n    }}{}\n",
-            ms(*wall),
-            ms(base.2) / ms(*wall).max(1e-6),
+            "      }},\n      \"wall_ms\": {:.3},\n      \"handler_sum_ms\": {:.3},\n      \
+             \"speedup_vs_t1\": {:.3},\n      \"phases\": {}\n    }}{}\n",
+            ms(report.total_time),
+            handler_sum_ms(report),
+            ms(base.1.total_time) / ms(report.total_time).max(1e-6),
+            report.totals().to_json(),
             if r + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -558,7 +427,7 @@ fn run_parallel_bench(
     std::fs::write(out_path, &json).expect("write benchmark artifact");
     let best = rows
         .iter()
-        .map(|(t, _, w)| (*t, ms(base.2) / ms(*w).max(1e-6)))
+        .map(|(t, r)| (*t, ms(base.1.total_time) / ms(r.total_time).max(1e-6)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap();
     println!(
@@ -590,25 +459,32 @@ fn run_simplify_bench(
         "word-level simplification benchmark over {} handler(s), certified, cold cache\n",
         handlers.len()
     );
-    let (os_off, osf_wall) = run(image, params, handlers, false, false, true, 1, false);
-    let (os_on, osn_wall) = run(image, params, handlers, false, false, true, 1, true);
-    let (inc_off, inf_wall) = run(image, params, handlers, true, false, true, 1, false);
-    let (inc_on, inn_wall) = run(image, params, handlers, true, false, true, 1, true);
+    let os_off = run(image, params, handlers, false, false, true, 1, false);
+    let os_on = run(image, params, handlers, false, false, true, 1, true);
+    let inc_off = run(image, params, handlers, true, false, true, 1, false);
+    let inc_on = run(image, params, handlers, true, false, true, 1, true);
     let mut failed = false;
     println!(
         "{:<18} {:>12} {:>12} {:>8} {:>12} {:>12} {:>9} {:>6}",
         "handler", "1shot off", "1shot on", "clause%", "incr off", "incr on", "rewrites", "disch"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
-    for i in 0..os_off.len() {
-        let (oo, on, io, inn) = (&os_off[i], &os_on[i], &inc_off[i], &inc_on[i]);
+    for i in 0..os_off.handlers.len() {
+        let (oo, on, io, inn) = (
+            &os_off.handlers[i],
+            &os_on.handlers[i],
+            &inc_off.handlers[i],
+            &inc_on.handlers[i],
+        );
         check_verdicts(oo, on, "simplify (oneshot)");
         check_verdicts(io, inn, "simplify (incremental)");
-        for m in [oo, on, io, inn] {
-            if m.certified_unsat != m.unsat_queries {
+        for h in [oo, on, io, inn] {
+            if h.phases.certified_unsat != h.phases.unsat_queries {
                 eprintln!(
                     "FAIL: {} certified only {}/{} unsat answers",
-                    m.name, m.certified_unsat, m.unsat_queries
+                    h.sysno.func_name(),
+                    h.phases.certified_unsat,
+                    h.phases.unsat_queries
                 );
                 failed = true;
             }
@@ -616,68 +492,39 @@ fn run_simplify_bench(
         let clause_pct = pct(on.cnf_clauses as f64, oo.cnf_clauses.max(1) as f64);
         println!(
             "{:<18} {:>10.1}ms {:>10.1}ms {:>7.1}% {:>10.1}ms {:>10.1}ms {:>9} {:>6}",
-            oo.name,
-            ms(oo.total),
-            ms(on.total),
+            oo.sysno.func_name(),
+            ms(oo.time),
+            ms(on.time),
             clause_pct,
-            ms(io.total),
-            ms(inn.total),
-            on.simplify_rewrites + inn.simplify_rewrites,
-            on.statically_discharged + inn.statically_discharged
+            ms(io.time),
+            ms(inn.time),
+            on.phases.simplify_rewrites + inn.phases.simplify_rewrites,
+            on.phases.statically_discharged + inn.phases.statically_discharged
         );
-        let col = |m: &Measurement, out: &mut String| {
-            out.push_str(&format!(
-                "{{\"total_ms\": {:.3}, \"encode_ms\": {:.3}, \"solve_ms\": {:.3}, \
-                 \"simplify_ms\": {:.3}, \"cnf_clauses\": {}, \"conflicts\": {}, \
-                 \"rewrites\": {}, \"bits_pinned\": {}, \"conjuncts_before\": {}, \
-                 \"conjuncts_after\": {}, \"coi_dropped\": {}, \"statically_discharged\": {}, \
-                 \"unsat_queries\": {}, \"certified_unsat\": {}, \"verdict\": \"{}\"}}",
-                ms(m.total),
-                ms(m.encode),
-                ms(m.solve),
-                ms(m.simplify_time),
-                m.cnf_clauses,
-                m.conflicts,
-                m.simplify_rewrites,
-                m.simplify_bits_pinned,
-                m.simplify_conjuncts_before,
-                m.simplify_conjuncts_after,
-                m.simplify_coi_dropped,
-                m.statically_discharged,
-                m.unsat_queries,
-                m.certified_unsat,
-                m.verdict,
-            ));
-        };
-        json.push_str(&format!("    \"{}\": {{\"oneshot_off\": ", oo.name));
-        col(oo, &mut json);
-        json.push_str(", \"oneshot_on\": ");
-        col(on, &mut json);
-        json.push_str(", \"incremental_off\": ");
-        col(io, &mut json);
-        json.push_str(", \"incremental_on\": ");
-        col(inn, &mut json);
         json.push_str(&format!(
-            ", \"oneshot_clause_delta_pct\": {clause_pct:.3}}}{}\n",
-            if i + 1 < os_off.len() { "," } else { "" }
+            "    \"{}\": {{\"oneshot_off\": {}, \"oneshot_on\": {}, \"incremental_off\": {}, \
+             \"incremental_on\": {}, \"oneshot_clause_delta_pct\": {clause_pct:.3}}}{}\n",
+            oo.sysno.func_name(),
+            oo.to_json(),
+            on.to_json(),
+            io.to_json(),
+            inn.to_json(),
+            if i + 1 < os_off.handlers.len() {
+                ","
+            } else {
+                ""
+            }
         ));
     }
-    let csum = |v: &[Measurement]| -> u64 { v.iter().map(|m| m.cnf_clauses as u64).sum() };
-    let tsum = |v: &[Measurement]| -> f64 { v.iter().map(|m| ms(m.total)).sum() };
+    let csum = |r: &VerifyReport| -> u64 { r.handlers.iter().map(|h| h.cnf_clauses as u64).sum() };
     let (oo_cl, on_cl) = (csum(&os_off), csum(&os_on));
     let (io_cl, in_cl) = (csum(&inc_off), csum(&inc_on));
     let clause_reduction_pct = (1.0 - on_cl as f64 / oo_cl.max(1) as f64) * 100.0;
-    let discharged: u64 = os_on
-        .iter()
-        .chain(inc_on.iter())
-        .map(|m| m.statically_discharged)
-        .sum();
-    let rewrites: u64 = os_on
-        .iter()
-        .chain(inc_on.iter())
-        .map(|m| m.simplify_rewrites)
-        .sum();
-    let coi: u64 = os_on.iter().map(|m| m.simplify_coi_dropped).sum();
+    let mut on_totals = os_on.totals();
+    on_totals.merge(&inc_on.totals());
+    let discharged = on_totals.statically_discharged;
+    let rewrites = on_totals.simplify_rewrites;
+    let coi = os_on.totals().simplify_coi_dropped;
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"oneshot_off_clauses\": {oo_cl},\n    \
          \"oneshot_on_clauses\": {on_cl},\n    \"oneshot_clause_reduction_pct\": \
@@ -686,18 +533,18 @@ fn run_simplify_bench(
          \"oneshot_on_total_ms\": {:.3},\n    \"incremental_off_total_ms\": {:.3},\n    \
          \"incremental_on_total_ms\": {:.3},\n    \"oneshot_off_wall_ms\": {:.3},\n    \
          \"oneshot_on_wall_ms\": {:.3},\n    \"incremental_off_wall_ms\": {:.3},\n    \
-         \"incremental_on_wall_ms\": {:.3},\n    \"rewrites\": {rewrites},\n    \
-         \"coi_dropped\": {coi},\n    \"statically_discharged\": {discharged}\n  }},\n  \
+         \"incremental_on_wall_ms\": {:.3},\n    \"simplify_on_phases\": {}\n  }},\n  \
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"certify\": true, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
-        tsum(&os_off),
-        tsum(&os_on),
-        tsum(&inc_off),
-        tsum(&inc_on),
-        ms(osf_wall),
-        ms(osn_wall),
-        ms(inf_wall),
-        ms(inn_wall),
+        handler_sum_ms(&os_off),
+        handler_sum_ms(&os_on),
+        handler_sum_ms(&inc_off),
+        handler_sum_ms(&inc_on),
+        ms(os_off.total_time),
+        ms(os_on.total_time),
+        ms(inc_off.total_time),
+        ms(inc_on.total_time),
+        on_totals.to_json(),
         handlers.len(),
         features_json(true, false, true, false, true)
     ));
@@ -975,56 +822,51 @@ fn main() {
     );
     // Incremental first: it is the fast side, so progress shows early
     // and a hung baseline handler is obvious from the trace.
-    let (incremental, n_wall) = run(&image, params, handlers, true, false, false, 1, false);
-    let (oneshot, o_wall) = run(&image, params, handlers, false, false, false, 1, false);
+    let incremental = run(&image, params, handlers, true, false, false, 1, false);
+    let oneshot = run(&image, params, handlers, false, false, false, 1, false);
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>12} {:>9}",
         "handler", "1shot enc", "incr enc", "1shot slv", "incr slv", "enc x"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
-    for (i, (o, n)) in oneshot.iter().zip(incremental.iter()).enumerate() {
-        assert_eq!(o.name, n.name);
-        if o.verdict != n.verdict {
-            // The per-call solve budget may run out in one mode but
-            // not the other (learnt-clause reuse changes search depth);
-            // that is a budget artifact, not a soundness divergence.
-            // Any other disagreement is a bug.
-            assert!(
-                o.verdict == "UNKNOWN" || n.verdict == "UNKNOWN",
-                "incremental changed the verdict for {}: {} vs {}",
-                o.name,
-                o.verdict,
-                n.verdict
-            );
-            println!(
-                "note: {} exhausted its solve budget in one mode ({} oneshot, {} incremental)",
-                o.name, o.verdict, n.verdict
-            );
-        }
-        let ratio = ms(o.encode) / ms(n.encode).max(1e-6);
+    for (i, (o, n)) in oneshot
+        .handlers
+        .iter()
+        .zip(incremental.handlers.iter())
+        .enumerate()
+    {
+        // The per-call solve budget may run out in one mode but not the
+        // other (learnt-clause reuse changes search depth); that is a
+        // budget artifact, not a soundness divergence. Any other
+        // disagreement is a bug.
+        check_verdicts(o, n, "incremental");
+        let (oe, ne) = (o.phases.encode_time, n.phases.encode_time);
+        let ratio = ms(oe) / ms(ne).max(1e-6);
         println!(
             "{:<18} {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>8.2}x",
-            o.name,
-            ms(o.encode),
-            ms(n.encode),
-            ms(o.solve),
-            ms(n.solve),
+            o.sysno.func_name(),
+            ms(oe),
+            ms(ne),
+            ms(o.phases.solve_time),
+            ms(n.phases.solve_time),
             ratio
         );
-        json.push_str(&format!("    \"{}\": {{\"oneshot\": ", o.name));
-        json_entry(o, &mut json);
-        json.push_str(", \"incremental\": ");
-        json_entry(n, &mut json);
-        json.push_str(&format!(", \"encode_speedup\": {ratio:.3}}}"));
-        json.push_str(if i + 1 < oneshot.len() { ",\n" } else { "\n" });
+        json.push_str(&format!(
+            "    \"{}\": {{\"oneshot\": {}, \"incremental\": {}, \"encode_speedup\": {ratio:.3}}}",
+            o.sysno.func_name(),
+            o.to_json(),
+            n.to_json()
+        ));
+        json.push_str(if i + 1 < oneshot.handlers.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
-    let agg = |v: &[Measurement], f: &dyn Fn(&Measurement) -> f64| -> f64 { v.iter().map(f).sum() };
-    let o_enc = agg(&oneshot, &|m| ms(m.encode));
-    let n_enc = agg(&incremental, &|m| ms(m.encode));
-    let o_slv = agg(&oneshot, &|m| ms(m.solve));
-    let n_slv = agg(&incremental, &|m| ms(m.solve));
-    let o_tot = agg(&oneshot, &|m| ms(m.total));
-    let n_tot = agg(&incremental, &|m| ms(m.total));
+    let (ot, nt) = (oneshot.totals(), incremental.totals());
+    let (o_enc, n_enc) = (ms(ot.encode_time), ms(nt.encode_time));
+    let (o_slv, n_slv) = (ms(ot.solve_time), ms(nt.solve_time));
+    let (o_tot, n_tot) = (handler_sum_ms(&oneshot), handler_sum_ms(&incremental));
     let speedup = o_enc / n_enc.max(1e-6);
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"oneshot_encode_ms\": {o_enc:.3},\n    \
@@ -1035,8 +877,8 @@ fn main() {
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {features}}}\n}}\n",
         handlers.len(),
-        ow = ms(o_wall),
-        nw = ms(n_wall),
+        ow = ms(oneshot.total_time),
+        nw = ms(incremental.total_time),
         features = features_json(true, false, false, false, false)
     ));
     println!(
@@ -1073,9 +915,10 @@ fn main() {
     // budget — which is the regression story in reverse, and exactly
     // why the incremental pipeline is the default.
     let unknowns: Vec<&str> = incremental
+        .handlers
         .iter()
-        .filter(|m| m.verdict == "UNKNOWN")
-        .map(|m| m.name)
+        .filter(|h| h.verdict() == "UNKNOWN")
+        .map(|h| h.sysno.func_name())
         .collect();
     if !unknowns.is_empty() {
         eprintln!("FAIL: UNKNOWN verdicts survived budget escalation: {unknowns:?}");

@@ -174,7 +174,8 @@ pub struct HarnessReport {
     pub proof_steps: u64,
 }
 
-/// An incremental solver session accumulating per-harness statistics.
+/// An incremental solver session; its solver's lifetime totals are the
+/// per-harness statistics.
 ///
 /// One `Prover` per harness: base model constraints are asserted once
 /// with [`Prover::assume`], then each property is discharged in its own
@@ -186,14 +187,6 @@ pub struct Prover {
     pub ctx: Ctx,
     solver: Solver,
     start: Instant,
-    queries: u64,
-    cnf_clauses: usize,
-    conflicts: u64,
-    encode_time: Duration,
-    solve_time: Duration,
-    unsat_queries: u64,
-    certified_unsat: u64,
-    proof_steps: u64,
     outcome: BmcOutcome,
 }
 
@@ -217,14 +210,6 @@ impl Prover {
             ctx,
             solver: Solver::with_config(sc),
             start: Instant::now(),
-            queries: 0,
-            cnf_clauses: 0,
-            conflicts: 0,
-            encode_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            unsat_queries: 0,
-            certified_unsat: 0,
-            proof_steps: 0,
             outcome: BmcOutcome::Proved,
         }
     }
@@ -260,15 +245,6 @@ impl Prover {
         }
         self.solver.assert(&mut self.ctx, neg);
         let result = self.solver.check(&mut self.ctx);
-        let st = &self.solver.stats;
-        self.queries += 1;
-        self.cnf_clauses += st.cnf_clauses;
-        self.conflicts += st.conflicts;
-        self.encode_time += st.encode_time;
-        self.solve_time += st.solve_time;
-        self.unsat_queries += st.unsat_queries;
-        self.certified_unsat += st.certified_unsat;
-        self.proof_steps += st.proof_steps;
         self.solver.pop();
         match result {
             SatResult::Unsat | SatResult::StaticallyDischarged => {}
@@ -281,20 +257,21 @@ impl Prover {
 
     /// Finalizes the session into a report.
     pub fn finish(self, name: &'static str, family: &'static str, bounds: String) -> HarnessReport {
+        let t = &self.solver.totals;
         HarnessReport {
             name,
             family,
             bounds,
             outcome: self.outcome,
-            queries: self.queries,
-            cnf_clauses: self.cnf_clauses,
-            conflicts: self.conflicts,
-            encode_time: self.encode_time,
-            solve_time: self.solve_time,
+            queries: t.checks,
+            cnf_clauses: t.cnf_clauses,
+            conflicts: t.conflicts,
+            encode_time: t.encode_time,
+            solve_time: t.solve_time,
             time: self.start.elapsed(),
-            unsat_queries: self.unsat_queries,
-            certified_unsat: self.certified_unsat,
-            proof_steps: self.proof_steps,
+            unsat_queries: t.unsat_queries,
+            certified_unsat: t.certified_unsat,
+            proof_steps: t.proof_steps,
         }
     }
 }

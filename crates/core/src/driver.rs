@@ -17,11 +17,11 @@ use std::time::{Duration, Instant};
 
 use hk_abi::{KernelParams, Sysno};
 use hk_kernel::KernelImage;
-use hk_smt::{CacheStats, CoreBudget, QueryCache, SolverConfig};
+use hk_smt::{CacheStats, CoreBudget, QueryCache, SolverConfig, Stats};
 use hk_spec::shapes_of;
 use hk_symx::SymxConfig;
 
-use crate::event::{EventSink, VerifyEvent};
+use crate::event::{EventSink, PhaseStats, VerifyEvent};
 use crate::refine::{verify_handler, HandlerOutcome, HandlerReport, VerifyCtx};
 
 /// Default capacity of the per-run verification-condition cache.
@@ -98,25 +98,24 @@ impl VerifyReport {
         self.analysis_findings.is_empty() && self.handlers.iter().all(|h| h.outcome.is_verified())
     }
 
-    /// Solver queries answered from the cache *during this run*.
-    pub fn cache_hits(&self) -> u64 {
-        self.handlers.iter().map(|h| h.phases.cache_hits).sum()
-    }
-
-    /// Solver queries that missed the cache *during this run*.
-    pub fn cache_misses(&self) -> u64 {
-        self.handlers.iter().map(|h| h.phases.cache_misses).sum()
+    /// This run's totals: every handler's [`PhaseStats`] merged.
+    pub fn totals(&self) -> PhaseStats {
+        let mut t = PhaseStats::default();
+        for h in &self.handlers {
+            t.merge(&h.phases);
+        }
+        t
     }
 
     /// Unsat answers across all handlers *during this run*.
     pub fn unsat_queries(&self) -> u64 {
-        self.handlers.iter().map(|h| h.phases.unsat_queries).sum()
+        self.totals().unsat_queries
     }
 
     /// Unsat answers confirmed by the independent proof checker (or
     /// vacuously, for trivially-false queries) *during this run*.
     pub fn certified_unsat(&self) -> u64 {
-        self.handlers.iter().map(|h| h.phases.certified_unsat).sum()
+        self.totals().certified_unsat
     }
 
     /// True when the run was certified: every Unsat answer re-checked.
@@ -127,18 +126,19 @@ impl VerifyReport {
 
     /// Cache hit rate over this run's queries (0.0 when no queries ran).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits();
-        let total = hits + self.cache_misses();
+        let t = self.totals();
+        let total = t.cache_hits + t.cache_misses;
         if total == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            t.cache_hits as f64 / total as f64
         }
     }
 
     /// A rendered summary table.
     pub fn summary(&self) -> String {
         use std::fmt::Write;
+        let t = self.totals();
         let mut out = String::new();
         for f in &self.analysis_findings {
             let _ = writeln!(out, "analysis: {f}");
@@ -165,7 +165,7 @@ impl VerifyReport {
                 h.side_checks,
                 h.cnf_clauses,
                 h.phases.cache_hits,
-                h.phases.queries,
+                h.phases.checks,
                 h.time.as_secs_f64()
             );
         }
@@ -182,115 +182,70 @@ impl VerifyReport {
         let _ = writeln!(
             out,
             "cache: {} hits / {} misses this run ({:.0}% hit rate), {} entries resident",
-            self.cache_hits(),
-            self.cache_misses(),
+            t.cache_hits,
+            t.cache_misses,
             self.cache_hit_rate() * 100.0,
             self.cache_entries
         );
-        if self.certified_unsat() > 0 {
-            let (steps, core, bytes, check) =
-                self.handlers
-                    .iter()
-                    .fold((0u64, 0u64, 0u64, Duration::ZERO), |(s, c, b, t), h| {
-                        (
-                            s + h.phases.proof_steps,
-                            c + h.phases.proof_core_steps,
-                            b + h.phases.proof_bytes,
-                            t + h.phases.proof_check_time,
-                        )
-                    });
+        if t.certified_unsat > 0 {
             let _ = writeln!(
                 out,
                 "proof: {}/{} unsat answers certified ({} DRAT steps, {} core, {} bytes, {:.2}s checking)",
-                self.certified_unsat(),
-                self.unsat_queries(),
-                steps,
-                core,
-                bytes,
-                check.as_secs_f64()
+                t.certified_unsat,
+                t.unsat_queries,
+                t.proof_steps,
+                t.proof_core_steps,
+                t.proof_bytes,
+                t.proof_check_time.as_secs_f64()
             );
         }
-        let races: u64 = self.handlers.iter().map(|h| h.phases.races).sum();
-        if races > 0 {
-            let workers: u64 = self.handlers.iter().map(|h| h.phases.race_workers).sum();
-            let shared: u64 = self
-                .handlers
-                .iter()
-                .map(|h| h.phases.clauses_imported)
-                .sum();
-            let cubes: u64 = self.handlers.iter().map(|h| h.phases.cubes_solved).sum();
+        if t.races > 0 {
             let _ = writeln!(
                 out,
-                "portfolio: {races} races across {workers} workers, {shared} clauses imported, {cubes} cubes solved"
+                "portfolio: {} races across {} workers, {} clauses imported, {} cubes solved",
+                t.races, t.race_workers, t.clauses_imported, t.cubes_solved
             );
         }
-        let rewrites: u64 = self
-            .handlers
-            .iter()
-            .map(|h| h.phases.simplify_rewrites)
-            .sum();
-        let discharged: u64 = self
-            .handlers
-            .iter()
-            .map(|h| h.phases.statically_discharged)
-            .sum();
-        if rewrites > 0 || discharged > 0 {
-            let dropped: u64 = self
-                .handlers
-                .iter()
-                .map(|h| h.phases.simplify_coi_dropped)
-                .sum();
-            let time: Duration = self.handlers.iter().map(|h| h.phases.simplify_time).sum();
+        if t.simplify_rewrites > 0 || t.statically_discharged > 0 {
             let _ = writeln!(
                 out,
-                "simplify: {rewrites} rewrites, {dropped} conjuncts COI-dropped, {discharged} queries statically discharged ({:.2}s)",
-                time.as_secs_f64()
+                "simplify: {} rewrites, {} conjuncts COI-dropped, {} queries statically discharged ({:.2}s)",
+                t.simplify_rewrites,
+                t.simplify_coi_dropped,
+                t.statically_discharged,
+                t.simplify_time.as_secs_f64()
             );
         }
         out
     }
 
     /// The report as a JSON document (machine-readable counterpart of
-    /// [`VerifyReport::summary`]).
+    /// [`VerifyReport::summary`]). Both `phases` blocks come from the
+    /// one counter writer ([`Stats::to_json`]): every [`PhaseStats`]
+    /// field in declaration order, times as `<name>_s` in seconds. The
+    /// top-level block is [`VerifyReport::totals`].
     ///
-    /// Layout:
+    /// Layout (counter blocks shortened):
     ///
     /// ```json
     /// {
     ///   "total_time_s": 1.5,
-    ///   "verified": 50, "total": 50,
-    ///   "cache": { "hits": 120, "misses": 8, "hit_rate": 0.9375, "entries": 128 },
-    ///   "proof": { "unsat_queries": 96, "certified_unsat": 96, "proofs_checked": 94,
-    ///              "steps": 48211, "core_steps": 1204, "bytes": 190331,
-    ///              "check_time_s": 0.4 },
-    ///   "sat": { "restarts": 40, "db_reductions": 3, "learnts_removed": 1200,
-    ///            "scope_gc_clauses": 800, "probe_units": 12, "subsumed": 30,
-    ///            "strengthened": 9, "escalations": 0 },
-    ///   "parallel": { "races": 2, "race_workers": 7,
-    ///                 "wins": { "base": 1, "flip-reduce": 0, "invert-phase": 1,
-    ///                           "no-restarts": 0, "cube": 0 },
-    ///                 "clauses_exported": 310, "clauses_imported": 280,
-    ///                 "cubes_total": 8, "cubes_solved": 8 },
-    ///   "simplify": { "terms": 5200, "rewrites": 140, "bits_pinned": 96,
-    ///                 "conjuncts_before": 210, "conjuncts_after": 180,
-    ///                 "coi_dropped": 12, "statically_discharged": 2,
-    ///                 "time_s": 0.05 },
+    ///   "verified": 50,
+    ///   "total": 50,
+    ///   "analysis": { "findings": [], "loop_bounds": 12 },
+    ///   "cache": { "hit_rate": 0.9375, "entries": 128 },
+    ///   "phases": { "symx_time_s": 0.8, "checks": 128, "assertions": 3, ...,
+    ///               "cache_hits": 120, "cache_misses": 8, "conflicts": 3104, ...,
+    ///               "unsat_queries": 96, "certified_unsat": 96, ...,
+    ///               "race_wins": { "base": 1, "flip-reduce": 0, ... }, ...,
+    ///               "statically_discharged": 0 },
     ///   "handlers": [
     ///     { "name": "sys_dup", "trap": 23, "verdict": "verified", "detail": null,
     ///       "paths": 4, "side_checks": 9, "cnf_clauses": 1042, "conflicts": 3,
-    ///       "time_s": 0.2,
-    ///       "phases": { "symx_s": 0.1, "encode_s": 0.05, "ack_s": 0.01,
-    ///                   "bitblast_s": 0.04, "solve_s": 0.05, "queries": 6,
-    ///                   "cache_hits": 5, "cache_misses": 1 },
-    ///       "proof": { "unsat_queries": 6, "certified_unsat": 6, "proofs_checked": 6,
-    ///                  "steps": 3120, "core_steps": 88, "bytes": 12044,
-    ///                  "check_time_s": 0.02 } }
+    ///       "time_s": 0.200000, "phases": { "symx_time_s": 0.1, "checks": 6, ... } }
     ///   ]
     /// }
     /// ```
-    ///
-    /// The `proof` sections are always present; on uncertified runs
-    /// every counter except `unsat_queries` is zero.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -322,209 +277,15 @@ impl VerifyReport {
         );
         let _ = writeln!(
             out,
-            "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \"entries\": {} }},",
-            self.cache_hits(),
-            self.cache_misses(),
+            "  \"cache\": {{ \"hit_rate\": {:.6}, \"entries\": {} }},",
             self.cache_hit_rate(),
             self.cache_entries
         );
-        let (steps, core, bytes, checked, check_time) = self.handlers.iter().fold(
-            (0u64, 0u64, 0u64, 0u64, Duration::ZERO),
-            |(s, c, b, n, t), h| {
-                (
-                    s + h.phases.proof_steps,
-                    c + h.phases.proof_core_steps,
-                    b + h.phases.proof_bytes,
-                    n + h.phases.proofs_checked,
-                    t + h.phases.proof_check_time,
-                )
-            },
-        );
-        let _ = writeln!(
-            out,
-            "  \"proof\": {{ \"unsat_queries\": {}, \"certified_unsat\": {}, \
-             \"proofs_checked\": {checked}, \"steps\": {steps}, \"core_steps\": {core}, \
-             \"bytes\": {bytes}, \"check_time_s\": {:.6} }},",
-            self.unsat_queries(),
-            self.certified_unsat(),
-            check_time.as_secs_f64()
-        );
-        let sat = self.handlers.iter().fold([0u64; 8], |acc, h| {
-            let p = &h.phases;
-            [
-                acc[0] + p.restarts,
-                acc[1] + p.db_reductions,
-                acc[2] + p.learnts_removed,
-                acc[3] + p.scope_gc_clauses,
-                acc[4] + p.probe_units,
-                acc[5] + p.subsumed,
-                acc[6] + p.strengthened,
-                acc[7] + p.escalations,
-            ]
-        });
-        let _ = writeln!(
-            out,
-            "  \"sat\": {{ \"restarts\": {}, \"db_reductions\": {}, \"learnts_removed\": {}, \
-             \"scope_gc_clauses\": {}, \"probe_units\": {}, \"subsumed\": {}, \
-             \"strengthened\": {}, \"escalations\": {} }},",
-            sat[0], sat[1], sat[2], sat[3], sat[4], sat[5], sat[6], sat[7]
-        );
-        let par = self.handlers.iter().fold(
-            (
-                0u64,
-                0u64,
-                [0u64; hk_smt::STRATEGY_NAMES.len()],
-                0u64,
-                0u64,
-                0u64,
-                0u64,
-            ),
-            |(r, w, mut wins, ex, im, ct, cs), h| {
-                let p = &h.phases;
-                for (t, v) in wins.iter_mut().zip(p.race_wins.iter()) {
-                    *t += v;
-                }
-                (
-                    r + p.races,
-                    w + p.race_workers,
-                    wins,
-                    ex + p.clauses_exported,
-                    im + p.clauses_imported,
-                    ct + p.cubes_total,
-                    cs + p.cubes_solved,
-                )
-            },
-        );
-        let wins_json: Vec<String> = hk_smt::STRATEGY_NAMES
-            .iter()
-            .zip(par.2.iter())
-            .map(|(n, w)| format!("\"{n}\": {w}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  \"parallel\": {{ \"races\": {}, \"race_workers\": {}, \"wins\": {{ {} }}, \
-             \"clauses_exported\": {}, \"clauses_imported\": {}, \"cubes_total\": {}, \
-             \"cubes_solved\": {} }},",
-            par.0,
-            par.1,
-            wins_json.join(", "),
-            par.3,
-            par.4,
-            par.5,
-            par.6
-        );
-        let simp = self
-            .handlers
-            .iter()
-            .fold(([0u64; 7], Duration::ZERO), |(acc, t), h| {
-                let p = &h.phases;
-                (
-                    [
-                        acc[0] + p.simplify_terms,
-                        acc[1] + p.simplify_rewrites,
-                        acc[2] + p.simplify_bits_pinned,
-                        acc[3] + p.simplify_conjuncts_before,
-                        acc[4] + p.simplify_conjuncts_after,
-                        acc[5] + p.simplify_coi_dropped,
-                        acc[6] + p.statically_discharged,
-                    ],
-                    t + p.simplify_time,
-                )
-            });
-        let _ = writeln!(
-            out,
-            "  \"simplify\": {{ \"terms\": {}, \"rewrites\": {}, \"bits_pinned\": {}, \
-             \"conjuncts_before\": {}, \"conjuncts_after\": {}, \"coi_dropped\": {}, \
-             \"statically_discharged\": {}, \"time_s\": {:.6} }},",
-            simp.0[0],
-            simp.0[1],
-            simp.0[2],
-            simp.0[3],
-            simp.0[4],
-            simp.0[5],
-            simp.0[6],
-            simp.1.as_secs_f64()
-        );
+        let _ = writeln!(out, "  \"phases\": {},", self.totals().to_json());
         out.push_str("  \"handlers\": [\n");
         for (i, h) in self.handlers.iter().enumerate() {
-            let (verdict, detail) = match &h.outcome {
-                HandlerOutcome::Verified => ("verified", None),
-                HandlerOutcome::UbBug { kind, .. } => ("ub_bug", Some(kind.as_str())),
-                HandlerOutcome::RefinementBug { detail, .. } => {
-                    ("refinement_bug", Some(detail.as_str()))
-                }
-                HandlerOutcome::SymxFailed(e) => ("symx_failed", Some(e.as_str())),
-                HandlerOutcome::Unknown => ("unknown", None),
-            };
-            let detail_json = match detail {
-                Some(d) => format!("\"{}\"", json_escape(d)),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "    {{ \"name\": \"{}\", \"trap\": {}, \"verdict\": \"{}\", \"detail\": {}, \
-                 \"paths\": {}, \"side_checks\": {}, \"cnf_clauses\": {}, \"conflicts\": {}, \
-                 \"time_s\": {:.6}, \"phases\": {{ \"symx_s\": {:.6}, \"encode_s\": {:.6}, \
-                 \"ack_s\": {:.6}, \"bitblast_s\": {:.6}, \"solve_s\": {:.6}, \"queries\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {} }}, \
-                 \"proof\": {{ \"unsat_queries\": {}, \"certified_unsat\": {}, \
-                 \"proofs_checked\": {}, \"steps\": {}, \"core_steps\": {}, \"bytes\": {}, \
-                 \"check_time_s\": {:.6} }}, \
-                 \"sat\": {{ \"restarts\": {}, \"db_reductions\": {}, \"learnts_removed\": {}, \
-                 \"scope_gc_clauses\": {}, \"probe_units\": {}, \"subsumed\": {}, \
-                 \"strengthened\": {}, \"escalations\": {} }}, \
-                 \"parallel\": {{ \"races\": {}, \"race_workers\": {}, \"clauses_exported\": {}, \
-                 \"clauses_imported\": {}, \"cubes_total\": {}, \"cubes_solved\": {} }}, \
-                 \"simplify\": {{ \"terms\": {}, \"rewrites\": {}, \"bits_pinned\": {}, \
-                 \"conjuncts_before\": {}, \"conjuncts_after\": {}, \"coi_dropped\": {}, \
-                 \"statically_discharged\": {}, \"time_s\": {:.6} }} }}",
-                json_escape(h.sysno.func_name()),
-                h.sysno.number(),
-                verdict,
-                detail_json,
-                h.paths,
-                h.side_checks,
-                h.cnf_clauses,
-                h.conflicts,
-                h.time.as_secs_f64(),
-                h.phases.symx_time.as_secs_f64(),
-                h.phases.encode_time.as_secs_f64(),
-                h.phases.ack_time.as_secs_f64(),
-                h.phases.bitblast_time.as_secs_f64(),
-                h.phases.solve_time.as_secs_f64(),
-                h.phases.queries,
-                h.phases.cache_hits,
-                h.phases.cache_misses,
-                h.phases.unsat_queries,
-                h.phases.certified_unsat,
-                h.phases.proofs_checked,
-                h.phases.proof_steps,
-                h.phases.proof_core_steps,
-                h.phases.proof_bytes,
-                h.phases.proof_check_time.as_secs_f64(),
-                h.phases.restarts,
-                h.phases.db_reductions,
-                h.phases.learnts_removed,
-                h.phases.scope_gc_clauses,
-                h.phases.probe_units,
-                h.phases.subsumed,
-                h.phases.strengthened,
-                h.phases.escalations,
-                h.phases.races,
-                h.phases.race_workers,
-                h.phases.clauses_exported,
-                h.phases.clauses_imported,
-                h.phases.cubes_total,
-                h.phases.cubes_solved,
-                h.phases.simplify_terms,
-                h.phases.simplify_rewrites,
-                h.phases.simplify_bits_pinned,
-                h.phases.simplify_conjuncts_before,
-                h.phases.simplify_conjuncts_after,
-                h.phases.simplify_coi_dropped,
-                h.phases.statically_discharged,
-                h.phases.simplify_time.as_secs_f64()
-            );
+            out.push_str("    ");
+            out.push_str(&h.to_json());
             out.push_str(if i + 1 < self.handlers.len() {
                 ",\n"
             } else {
@@ -533,6 +294,40 @@ impl VerifyReport {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+}
+
+impl HandlerReport {
+    /// The handler as one single-line JSON object: verdict, the
+    /// handler-level counts, wall time, and its [`PhaseStats`] from the
+    /// one counter writer.
+    pub fn to_json(&self) -> String {
+        let (verdict, detail) = match &self.outcome {
+            HandlerOutcome::Verified => ("verified", None),
+            HandlerOutcome::UbBug { kind, .. } => ("ub_bug", Some(kind.as_str())),
+            HandlerOutcome::RefinementBug { detail, .. } => {
+                ("refinement_bug", Some(detail.as_str()))
+            }
+            HandlerOutcome::SymxFailed(e) => ("symx_failed", Some(e.as_str())),
+            HandlerOutcome::Unknown => ("unknown", None),
+        };
+        let detail = match detail {
+            Some(d) => format!("\"{}\"", json_escape(d)),
+            None => "null".to_string(),
+        };
+        format!(
+            "{{ \"name\": \"{}\", \"trap\": {}, \"verdict\": \"{verdict}\", \"detail\": {detail}, \
+             \"paths\": {}, \"side_checks\": {}, \"cnf_clauses\": {}, \"conflicts\": {}, \
+             \"time_s\": {:.6}, \"phases\": {} }}",
+            json_escape(self.sysno.func_name()),
+            self.sysno.number(),
+            self.paths,
+            self.side_checks,
+            self.cnf_clauses,
+            self.conflicts,
+            self.time.as_secs_f64(),
+            self.phases.to_json()
+        )
     }
 }
 

@@ -14,141 +14,14 @@ use std::time::Duration;
 use hk_abi::Sysno;
 use hk_smt::CacheStats;
 
-/// Per-handler phase timing and solver-cache counters, accumulated over
-/// every solver query the handler issues (UB query + refinement
-/// batches).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseStats {
-    /// Symbolic execution (handler body + both invariant evaluations).
-    pub symx_time: Duration,
-    /// Term-to-CNF encoding (Ackermann reduction + Tseitin bit-blast).
-    pub encode_time: Duration,
-    /// Ackermann reduction share of `encode_time`.
-    pub ack_time: Duration,
-    /// Bit-blasting share of `encode_time`.
-    pub bitblast_time: Duration,
-    /// CDCL search.
-    pub solve_time: Duration,
-    /// Solver queries issued.
-    pub queries: u64,
-    /// Queries answered from the verification-condition cache.
-    pub cache_hits: u64,
-    /// Queries that had to be solved.
-    pub cache_misses: u64,
-    /// Queries answered Unsat (the verdicts certification re-checks).
-    pub unsat_queries: u64,
-    /// Unsat answers confirmed by the independent proof checker (or
-    /// vacuously, for trivially-false assertion sets).
-    pub certified_unsat: u64,
-    /// DRAT proofs actually replayed by the checker.
-    pub proofs_checked: u64,
-    /// DRAT steps (inputs + lemmas + deletions) produced by the SAT core.
-    pub proof_steps: u64,
-    /// Bytes of binary-DRAT proof produced.
-    pub proof_bytes: u64,
-    /// Lemmas the backward checker had to RUP-verify (the trimmed core;
-    /// the rest of the proof never feeds the final conflict).
-    pub proof_core_steps: u64,
-    /// Wall-clock time spent inside the independent checker.
-    pub proof_check_time: Duration,
-    /// CDCL restarts (Luby schedule).
-    pub restarts: u64,
-    /// Learnt-clause database reductions (LBD/activity policy).
-    pub db_reductions: u64,
-    /// Learnt clauses discarded by DB reduction.
-    pub learnts_removed: u64,
-    /// Clauses reclaimed by root-level GC after a scope `pop`.
-    pub scope_gc_clauses: u64,
-    /// Unit facts learnt by failed-literal probing.
-    pub probe_units: u64,
-    /// Clauses deleted by the subsumption inprocessing pass.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsuming resolution.
-    pub strengthened: u64,
-    /// UNKNOWN verdicts retried with an escalated conflict budget.
-    pub escalations: u64,
-    /// Portfolio races run on this handler's queries (queries that
-    /// outlasted the probe threshold while the core budget had spare
-    /// capacity).
-    pub races: u64,
-    /// Workers across those races (including the racing query's own
-    /// core).
-    pub race_workers: u64,
-    /// Race wins per portfolio strategy, indexed like
-    /// [`hk_smt::STRATEGY_NAMES`].
-    pub race_wins: [u64; hk_smt::STRATEGY_NAMES.len()],
-    /// Learnt clauses exported to race exchanges.
-    pub clauses_exported: u64,
-    /// Learnt clauses imported from race exchanges.
-    pub clauses_imported: u64,
-    /// Cube jobs generated by cube-and-conquer teams.
-    pub cubes_total: u64,
-    /// Cube jobs that reached a verdict.
-    pub cubes_solved: u64,
-    /// Wall-clock time in the word-level static-analysis pass.
-    pub simplify_time: Duration,
-    /// Terms visited by the abstract analyses.
-    pub simplify_terms: u64,
-    /// Term nodes replaced by the rewrite pass.
-    pub simplify_rewrites: u64,
-    /// Bit-vector bits pinned to constants by known-bits folding.
-    pub simplify_bits_pinned: u64,
-    /// Conjuncts entering the pass (after `And` flattening).
-    pub simplify_conjuncts_before: u64,
-    /// Conjuncts surviving rewriting and reduction.
-    pub simplify_conjuncts_after: u64,
-    /// Conjuncts dropped by cone-of-influence reduction.
-    pub simplify_coi_dropped: u64,
-    /// Queries proved Unsat by the abstraction alone, before any
-    /// bit-blasting (certified runs still re-prove them via DRAT).
-    pub statically_discharged: u64,
-}
-
-impl PhaseStats {
-    /// Folds one `check` call's statistics into the accumulator.
-    /// [`hk_smt::SolverStats`] is a per-call delta (reset at the start
-    /// of every `check`), so absorbing after each call on a long-lived
-    /// incremental solver counts every query exactly once.
-    pub fn absorb(&mut self, stats: &hk_smt::SolverStats) {
-        self.encode_time += stats.encode_time;
-        self.ack_time += stats.ack_time;
-        self.bitblast_time += stats.bitblast_time;
-        self.solve_time += stats.solve_time;
-        self.queries += 1;
-        self.cache_hits += stats.cache_hits;
-        self.cache_misses += stats.cache_misses;
-        self.unsat_queries += stats.unsat_queries;
-        self.certified_unsat += stats.certified_unsat;
-        self.proofs_checked += stats.proofs_checked;
-        self.proof_steps += stats.proof_steps;
-        self.proof_bytes += stats.proof_bytes;
-        self.proof_core_steps += stats.proof_core_steps;
-        self.proof_check_time += stats.proof_check_time;
-        self.restarts += stats.restarts;
-        self.db_reductions += stats.db_reductions;
-        self.learnts_removed += stats.learnts_removed;
-        self.scope_gc_clauses += stats.scope_gc_clauses;
-        self.probe_units += stats.probe_units;
-        self.subsumed += stats.subsumed;
-        self.strengthened += stats.strengthened;
-        self.escalations += stats.escalations;
-        self.races += stats.races;
-        self.race_workers += stats.race_workers;
-        for (t, w) in self.race_wins.iter_mut().zip(stats.race_wins.iter()) {
-            *t += w;
-        }
-        self.clauses_exported += stats.clauses_exported;
-        self.clauses_imported += stats.clauses_imported;
-        self.cubes_total += stats.cubes_total;
-        self.cubes_solved += stats.cubes_solved;
-        self.simplify_time += stats.simplify_time;
-        self.simplify_terms += stats.simplify_terms;
-        self.simplify_rewrites += stats.simplify_rewrites;
-        self.simplify_bits_pinned += stats.simplify_bits_pinned;
-        self.simplify_conjuncts_before += stats.simplify_conjuncts_before;
-        self.simplify_conjuncts_after += stats.simplify_conjuncts_after;
-        self.simplify_coi_dropped += stats.simplify_coi_dropped;
-        self.statically_discharged += stats.statically_discharged;
+hk_smt::solver_stats! {
+    /// Per-handler phase timing and solver counters: every solver
+    /// counter, folded over each query the handler issues (UB query +
+    /// refinement batches) with [`PhaseStats::absorb`], after the
+    /// handler's own symbolic-execution time.
+    pub struct PhaseStats {
+        /// Symbolic execution (handler body + both invariant evaluations).
+        symx_time: Duration = sum,
     }
 }
 
@@ -392,7 +265,7 @@ impl EventSink {
                     paths,
                     side_checks,
                     phases.cache_hits,
-                    phases.queries
+                    phases.checks
                 );
             }
             VerifyEvent::PortfolioStarted {

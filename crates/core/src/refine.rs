@@ -151,11 +151,6 @@ pub fn invariant_term(
     Ok(ctx.eq(r.paths[0].ret, one))
 }
 
-/// Set HK_VERIFY_TRACE=1 for phase-by-phase timing on stderr.
-fn trace() -> bool {
-    std::env::var("HK_VERIFY_TRACE").is_ok()
-}
-
 /// Verifies one handler (Theorem 1). See module docs for the two
 /// queries.
 pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
@@ -216,16 +211,6 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
     let n_paths = impl_res.paths.len();
     let n_checks = impl_res.side_checks.len();
     let mut impl_state = impl_res.state.clone();
-    if trace() {
-        eprintln!(
-            "[{}] symx done at {:.1}s: {} paths, {} side checks, {} instructions",
-            sysno.func_name(),
-            start.elapsed().as_secs_f64(),
-            n_paths,
-            n_checks,
-            impl_res.executed
-        );
-    }
     // One solver for the handler's whole lifetime: the representation
     // invariant is asserted (and encoded) exactly once at the base
     // level, and every query below — the UB disjunction and each
@@ -244,26 +229,8 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
         let any_ub = ctx.or(&disjuncts);
         solver.push();
         solver.assert(&mut ctx, any_ub);
-        if trace() {
-            eprintln!(
-                "[{}] UB query start at {:.1}s",
-                sysno.func_name(),
-                start.elapsed().as_secs_f64()
-            );
-        }
         let ub_result = solver.check(&mut ctx);
         phases.absorb(&solver.stats);
-        if trace() {
-            eprintln!(
-                "[{}] UB query done at {:.1}s: encode {:.1}s solve {:.1}s, {} clauses, {} conflicts",
-                sysno.func_name(),
-                start.elapsed().as_secs_f64(),
-                solver.stats.encode_time.as_secs_f64(),
-                solver.stats.solve_time.as_secs_f64(),
-                solver.stats.cnf_clauses,
-                solver.stats.conflicts
-            );
-        }
         match ub_result {
             SatResult::Sat(model) => {
                 // Identify which check fired.
@@ -356,14 +323,6 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
         }
         _ => tail_probes.push(("invariant".to_string(), i_post)),
     }
-    if trace() {
-        eprintln!(
-            "[{}] refinement obligations built at {:.1}s ({} probes)",
-            sysno.func_name(),
-            start.elapsed().as_secs_f64(),
-            probes.len()
-        );
-    }
     // The obligations are independent, so the query is sliced into
     // batches: each batch refutes the disjunction of a handful of probe
     // violations against the already-encoded invariant. Monolithic
@@ -379,35 +338,16 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
     for i in 0..tail_probes.len() {
         batches.push(&tail_probes[i..i + 1]);
     }
-    for (bi, batch) in batches.into_iter().enumerate() {
+    for batch in batches {
         let negs: Vec<TermId> = batch.iter().map(|(_, p)| ctx.not(*p)).collect();
         let any_bad = ctx.or(&negs);
         solver.push();
         solver.assert(&mut ctx, any_bad);
-        if trace() {
-            let names: Vec<&str> = batch.iter().map(|(n, _)| n.as_str()).collect();
-            eprintln!("[{}] batch {} probes: {:?}", sysno.func_name(), bi, names);
-        }
         let result = solver.check(&mut ctx);
         solver.pop();
         phases.absorb(&solver.stats);
         total_clauses = total_clauses.max(solver.stats.cnf_clauses);
         total_conflicts += solver.stats.conflicts;
-        if trace() {
-            eprintln!(
-                "[{}] refinement batch {} done at {:.1}s: solve {:.1}s, {} clauses, \
-                 {} conflicts, {} restarts, {} reduced, {} scope-gc",
-                sysno.func_name(),
-                bi,
-                start.elapsed().as_secs_f64(),
-                solver.stats.solve_time.as_secs_f64(),
-                solver.stats.cnf_clauses,
-                solver.stats.conflicts,
-                solver.stats.restarts,
-                solver.stats.learnts_removed,
-                solver.stats.scope_gc_clauses
-            );
-        }
         match result {
             SatResult::Unsat | SatResult::StaticallyDischarged => {}
             SatResult::Unknown => {

@@ -109,10 +109,15 @@ fn certified_run_checks_every_unsat_answer() {
             .filter(|l| l.starts_with("certified["))
             .collect();
         assert_eq!(certified_lines.len(), SUBSET.len(), "{events:?}");
-        // The reports carry the proof story: JSON section and summary
-        // line both present.
+        // The reports carry the proof story: the run's totals in the JSON
+        // and the summary line both present.
         let json = report.to_json();
-        assert!(json.contains("\"proof\": {"), "{json}");
+        assert!(
+            json.contains(&format!(
+                "\"proofs_checked\": {checked}, \"proof_steps\": {steps}"
+            )),
+            "{json}"
+        );
         assert!(
             json.contains(&format!(
                 "\"unsat_queries\": {}, \"certified_unsat\": {}",

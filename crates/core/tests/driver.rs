@@ -182,26 +182,41 @@ fn warm_cache_run_hits_and_reports() {
     config.solver.cache = Some(cache.clone());
     let cold = verify_image(&image, &config);
     assert!(cold.all_verified());
-    assert!(cold.cache_misses() > 0, "first run must solve something");
+    assert!(
+        cold.totals().cache_misses > 0,
+        "first run must solve something"
+    );
     let warm = verify_image(&image, &config);
     assert!(warm.all_verified());
+    let totals = warm.totals();
     assert_eq!(
-        warm.cache_misses(),
-        0,
+        totals.cache_misses, 0,
         "unchanged image re-solved {} queries",
-        warm.cache_misses()
+        totals.cache_misses
     );
-    assert!(warm.cache_hits() > 0);
+    assert!(totals.cache_hits > 0);
     assert!(
         warm.cache_hit_rate() >= 0.9,
         "hit rate {:.2} below 90%",
         warm.cache_hit_rate()
     );
-    // The JSON report carries the cache section and per-handler phases.
+    // The JSON report carries the cache section, the run's totals and
+    // per-handler phases.
     let json = warm.to_json();
     assert!(json.contains("\"hit_rate\": 1.000000"), "{json}");
     assert!(json.contains("\"cache\": {"), "{json}");
-    assert!(json.contains("\"phases\": {"), "{json}");
+    assert!(
+        json.contains(&format!(
+            "\"cache_hits\": {}, \"cache_misses\": 0",
+            totals.cache_hits
+        )),
+        "{json}"
+    );
+    assert_eq!(
+        json.matches("\"phases\": {").count(),
+        1 + warm.handlers.len(),
+        "{json}"
+    );
     assert!(json.contains("\"verdict\": \"verified\""), "{json}");
     // And the human summary mentions the cache too.
     assert!(warm.summary().contains("hit rate"));

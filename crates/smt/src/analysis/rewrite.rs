@@ -10,14 +10,18 @@
 //! Soundness: rewriting conjunct `Cᵢ` into `Cᵢ'` uses only facts
 //! implied by the *other* conjuncts (and outer/base-level ones in the
 //! incremental case), so `⋀ⱼ≠ᵢ Cⱼ ⊨ (Cᵢ ↔ Cᵢ')`. Replacing every
-//! conjunct simultaneously preserves the models of the conjunction by
-//! induction on conjuncts: each single replacement keeps the
-//! conjunction equivalent, and equivalence of the whole conjunction is
-//! what every later replacement's side condition needs. The trap this
-//! scheme must (and does) avoid is two conjuncts deleting each other
-//! with each other's content: identical conjuncts are deduplicated
-//! before harvest, and a fact asserted by more than one conjunct is
-//! demoted to [`MULTI_ORIGIN`], which the rewriting view hides.
+//! conjunct simultaneously keeps only one direction: the original
+//! conjunction implies the rewritten one (each `Cᵢ'` follows from `Cᵢ`
+//! and the originals it was rewritten under), so an Unsat answer for
+//! the rewritten set holds for the original. It does **not** preserve
+//! the models: the side conditions refer to the original conjuncts,
+//! which are gone once all are replaced. `[x = y, x = 5]` becomes
+//! `[y = 5, y = 5]`, whose models leave `x` free. A model of the
+//! rewritten set must therefore be validated against the originals
+//! (`tests/review_soundness.rs` records the case). Identical conjuncts are
+//! deduplicated before harvest, and a fact asserted by more than one
+//! conjunct is demoted to [`MULTI_ORIGIN`], which the rewriting view
+//! hides, so two conjuncts cannot delete each other outright.
 
 use std::collections::HashMap;
 

@@ -25,6 +25,8 @@
 //! * [`solver`] — the front door tying the pipeline together;
 //! * [`cache`] — a content-addressed verification-condition cache so
 //!   repeated `verify_all` runs reuse verdicts instead of re-solving;
+//! * [`stats`] — the one list of solver counters, and the structs,
+//!   merges and JSON generated from it;
 //! * [`analysis`] — word-level static analysis (known-bits + interval
 //!   abstract interpretation, fact-directed rewriting, cone-of-influence
 //!   reduction) that shrinks or outright discharges queries before
@@ -62,6 +64,7 @@ pub mod model;
 pub mod parallel;
 pub mod sat;
 pub mod solver;
+pub mod stats;
 pub mod term;
 
 pub use analysis::{SimplifyOutcome, SimplifyStats};
@@ -69,5 +72,6 @@ pub use cache::{CacheStats, CachedVerdict, QueryCache, QueryKey};
 pub use model::Model;
 pub use parallel::{CoreBudget, ParallelConfig, STRATEGY_NAMES};
 pub use sat::{ReduceStrategy, SatConfig, SatSolver};
-pub use solver::{SatResult, Solver, SolverConfig, SolverStats, SolverTotals};
+pub use solver::{SatResult, Solver, SolverConfig};
+pub use stats::{SolverStats, Stats};
 pub use term::{BvBinOp, CmpOp, Ctx, FuncId, Sort, TermData, TermId, VarId};

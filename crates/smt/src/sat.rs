@@ -88,12 +88,15 @@ pub struct SatConfig {
     pub learntsize_factor: f64,
     /// Backtrack chronologically (to the previous level) instead of
     /// backjumping when the jump would discard more than
-    /// `chrono_distance` levels. Off by default: on this workload's
-    /// hardest refinement queries (`sys_alloc_pdpt`) it reliably
-    /// prevents convergence at any `chrono_distance`, while its wins
-    /// elsewhere are modest. The machinery is kept correct and under
-    /// test (the differential matrix exercises it) as an opt-in knob
-    /// with an A/B row in `fig9_stability`.
+    /// `chrono_distance` levels. Off by default, but the wins are not
+    /// modest: on pushbench's `sat_heavy` workload it halves the median
+    /// handler time (`op_p50_ms` 735–754 ms on vs 1391–1539 ms off,
+    /// three interleaved pairs on a 2-core Xeon). It was switched off
+    /// because it kept `sys_alloc_pdpt`'s hardest refinement query from
+    /// converging; that handler is in no pushbench workload, so the
+    /// claim is unmeasured since. The machinery is kept correct and
+    /// under test (the differential matrix exercises it), with an A/B
+    /// row in `fig9_stability`.
     pub chrono_backtrack: bool,
     /// Minimum discarded-level count before chronological backtracking
     /// kicks in.
@@ -1346,36 +1349,12 @@ impl SatSolver {
         // database balloon on a long-lived incremental solver.
         let mut max_learnts =
             (self.num_clauses() as f64 * self.config.learntsize_factor).max(1000.0);
-        // Set HK_SAT_DEBUG=1 for search-progress lines on stderr
-        // (call header plus a counter snapshot every 64 rounds).
-        let debug = std::env::var("HK_SAT_DEBUG").is_ok();
-        let mut iters: u64 = 0;
-        if debug {
-            eprintln!(
-                "[sat] solve start: {} vars, {} clauses, {} assumps, deadline={:?}",
-                self.assigns.len(),
-                self.clauses.len(),
-                assumps.len(),
-                deadline.is_some()
-            );
-        }
         loop {
             // The deadline is checked per loop round, not per conflict: a
             // conflict-light instance can sink arbitrary time into the
             // decide/propagate path without ever reaching the conflict
             // branch. One round is at least one `propagate` call, so a
             // clock read per round is noise.
-            iters += 1;
-            if debug && iters.is_multiple_of(64) {
-                eprintln!(
-                    "[sat] round {}: {} conflicts, {} decisions, trail {}, learnts {}",
-                    iters,
-                    self.stats.conflicts - conflict_floor,
-                    self.stats.decisions,
-                    self.trail.len(),
-                    self.num_learnts
-                );
-            }
             if let Some(deadline) = deadline {
                 if std::time::Instant::now() >= deadline {
                     self.backtrack_to(0);

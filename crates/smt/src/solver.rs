@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::ackermann::{Ackermann, AppInstance};
 use crate::analysis::{self, DeltaGroup, SimplifyOutcome};
@@ -40,8 +40,9 @@ use crate::cache::{self, CachedVerdict, QueryCache};
 use crate::cnf::Lit;
 use crate::eval::{eval_bool, Value};
 use crate::model::Model;
-use crate::parallel::{self, ParallelConfig, RaceReport, STRATEGY_NAMES};
+use crate::parallel::{self, ParallelConfig, RaceReport};
 use crate::sat::{SatConfig, SatOutcome, SatSolver, SatStats};
+use crate::stats::SolverStats;
 use crate::term::{Ctx, FuncId, Sort, TermId, VarId};
 
 /// Solver configuration; wraps the SAT heuristics.
@@ -137,253 +138,6 @@ impl SatResult {
     }
 }
 
-/// Pipeline statistics for one `check` call (a per-call **delta**: every
-/// field counts only work done by that call, so accumulating them over a
-/// long-lived incremental solver never double-counts; lifetime sums live
-/// in [`SolverTotals`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStats {
-    /// Active assertions at the time of the call.
-    pub assertions: usize,
-    /// Congruence constraints added by Ackermann reduction in this call.
-    pub ackermann_constraints: usize,
-    /// CNF variables known after this call.
-    pub cnf_vars: u32,
-    /// CNF clauses encoded by this call (in incremental mode, only the
-    /// newly added delta).
-    pub cnf_clauses: usize,
-    /// SAT conflicts during this call.
-    pub conflicts: u64,
-    /// SAT decisions during this call.
-    pub decisions: u64,
-    /// Literals propagated during this call.
-    pub propagations: u64,
-    /// SAT restarts during this call.
-    pub restarts: u64,
-    /// Learnt-database reductions during this call.
-    pub db_reductions: u64,
-    /// Learnt clauses deleted by reductions during this call.
-    pub learnts_removed: u64,
-    /// Clauses reclaimed by root-level GC attributed to this call
-    /// (includes scope-pop GC run since the previous call).
-    pub scope_gc_clauses: u64,
-    /// Unit facts learnt by failed-literal probing.
-    pub probe_units: u64,
-    /// Clauses removed by inprocessing subsumption.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsuming resolution.
-    pub strengthened: u64,
-    /// Budget escalations (0 or 1: one retry with 4x conflicts).
-    pub escalations: u64,
-    /// Portfolio races run by this call (0 unless the query outlasted
-    /// the probe threshold with spare cores available; escalation can
-    /// race the retry too, so 2 is possible).
-    pub races: u64,
-    /// Workers across this call's races (including the caller's core).
-    pub race_workers: u64,
-    /// Race wins per strategy, indexed like
-    /// [`crate::parallel::STRATEGY_NAMES`].
-    pub race_wins: [u64; STRATEGY_NAMES.len()],
-    /// Learnt clauses exported to the exchange during this call's races.
-    pub clauses_exported: u64,
-    /// Learnt clauses imported from the exchange during this call's races.
-    pub clauses_imported: u64,
-    /// Cube jobs generated by cube-and-conquer teams in this call.
-    pub cubes_total: u64,
-    /// Cube jobs that reached a verdict.
-    pub cubes_solved: u64,
-    /// Time spent encoding (Ackermann + bit-blasting) in this call.
-    pub encode_time: Duration,
-    /// Time spent in Ackermann reduction alone.
-    pub ack_time: Duration,
-    /// Time spent bit-blasting to CNF alone.
-    pub bitblast_time: Duration,
-    /// Time spent in the SAT core.
-    pub solve_time: Duration,
-    /// Query-cache hits in this call (0 or 1: one logical query).
-    pub cache_hits: u64,
-    /// Query-cache misses in this call (0 or 1).
-    pub cache_misses: u64,
-    /// Unsat answers in this call (0 or 1).
-    pub unsat_queries: u64,
-    /// Unsat answers certified by the independent checker (0 or 1; a
-    /// trivially-false assertion set counts as vacuously certified).
-    pub certified_unsat: u64,
-    /// Proof steps emitted by this call (with proof logging on).
-    pub proof_steps: u64,
-    /// Proof bytes emitted by this call.
-    pub proof_bytes: u64,
-    /// Proof-checker runs in this call (0 or 1).
-    pub proofs_checked: u64,
-    /// Lemmas the checker saw in this call's check run.
-    pub proof_lemmas: u64,
-    /// Lemmas on the trimmed core of this call's check run.
-    pub proof_core_steps: u64,
-    /// Time spent in the independent proof checker.
-    pub proof_check_time: Duration,
-    /// Time spent in the word-level static analysis pass.
-    pub simplify_time: Duration,
-    /// Terms visited by the abstract analyses in this call.
-    pub simplify_terms: u64,
-    /// Term rewrites applied by the simplifier in this call.
-    pub simplify_rewrites: u64,
-    /// Bit-vector bits pinned to constants by the abstraction.
-    pub simplify_bits_pinned: u64,
-    /// Conjuncts entering the simplifier (after `And` flattening).
-    pub simplify_conjuncts_before: u64,
-    /// Conjuncts surviving rewriting and reduction.
-    pub simplify_conjuncts_after: u64,
-    /// Conjuncts dropped by cone-of-influence reduction.
-    pub simplify_coi_dropped: u64,
-    /// The abstraction alone proved this call's query Unsat (0 or 1;
-    /// set even under `certify`, where the SAT path re-derives it).
-    pub statically_discharged: u64,
-}
-
-/// Lifetime totals over every `check` on one solver, the cumulative
-/// counterpart of the per-call [`SolverStats`] delta.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverTotals {
-    /// `check` calls made.
-    pub checks: u64,
-    /// Query-cache hits.
-    pub cache_hits: u64,
-    /// Query-cache misses.
-    pub cache_misses: u64,
-    /// High-water mark of CNF variables.
-    pub cnf_vars: u32,
-    /// CNF clauses ever handed to a SAT core (re-encodes included, so
-    /// the oneshot/incremental difference is visible here).
-    pub cnf_clauses: usize,
-    /// SAT conflicts.
-    pub conflicts: u64,
-    /// SAT decisions.
-    pub decisions: u64,
-    /// Literals propagated.
-    pub propagations: u64,
-    /// SAT restarts.
-    pub restarts: u64,
-    /// Learnt-database reductions.
-    pub db_reductions: u64,
-    /// Learnt clauses deleted by reductions.
-    pub learnts_removed: u64,
-    /// Clauses reclaimed by root-level GC (scope pops included).
-    pub scope_gc_clauses: u64,
-    /// Unit facts learnt by failed-literal probing.
-    pub probe_units: u64,
-    /// Clauses removed by inprocessing subsumption.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsuming resolution.
-    pub strengthened: u64,
-    /// Conflict-budget escalations.
-    pub escalations: u64,
-    /// Portfolio races run.
-    pub races: u64,
-    /// Workers across all races.
-    pub race_workers: u64,
-    /// Race wins per strategy, indexed like
-    /// [`crate::parallel::STRATEGY_NAMES`].
-    pub race_wins: [u64; STRATEGY_NAMES.len()],
-    /// Learnt clauses exported to exchanges.
-    pub clauses_exported: u64,
-    /// Learnt clauses imported from exchanges.
-    pub clauses_imported: u64,
-    /// Cube jobs generated.
-    pub cubes_total: u64,
-    /// Cube jobs that reached a verdict.
-    pub cubes_solved: u64,
-    /// Total encoding time.
-    pub encode_time: Duration,
-    /// Ackermann share of `encode_time`.
-    pub ack_time: Duration,
-    /// Bit-blasting share of `encode_time`.
-    pub bitblast_time: Duration,
-    /// Total SAT time.
-    pub solve_time: Duration,
-    /// Unsat answers.
-    pub unsat_queries: u64,
-    /// Unsat answers certified by the independent checker.
-    pub certified_unsat: u64,
-    /// Proof steps emitted.
-    pub proof_steps: u64,
-    /// Proof bytes emitted.
-    pub proof_bytes: u64,
-    /// Proof-checker runs.
-    pub proofs_checked: u64,
-    /// Lemmas seen across check runs.
-    pub proof_lemmas: u64,
-    /// Lemmas on trimmed cores across check runs.
-    pub proof_core_steps: u64,
-    /// Total proof-checking time.
-    pub proof_check_time: Duration,
-    /// Total static-analysis time.
-    pub simplify_time: Duration,
-    /// Terms visited by the abstract analyses.
-    pub simplify_terms: u64,
-    /// Term rewrites applied by the simplifier.
-    pub simplify_rewrites: u64,
-    /// Bit-vector bits pinned to constants.
-    pub simplify_bits_pinned: u64,
-    /// Conjuncts entering the simplifier.
-    pub simplify_conjuncts_before: u64,
-    /// Conjuncts surviving rewriting and reduction.
-    pub simplify_conjuncts_after: u64,
-    /// Conjuncts dropped by cone-of-influence reduction.
-    pub simplify_coi_dropped: u64,
-    /// Queries proven Unsat by the abstraction alone.
-    pub statically_discharged: u64,
-}
-
-impl SolverTotals {
-    fn absorb(&mut self, s: &SolverStats) {
-        self.checks += 1;
-        self.cache_hits += s.cache_hits;
-        self.cache_misses += s.cache_misses;
-        self.cnf_vars = self.cnf_vars.max(s.cnf_vars);
-        self.cnf_clauses += s.cnf_clauses;
-        self.conflicts += s.conflicts;
-        self.decisions += s.decisions;
-        self.propagations += s.propagations;
-        self.restarts += s.restarts;
-        self.db_reductions += s.db_reductions;
-        self.learnts_removed += s.learnts_removed;
-        self.scope_gc_clauses += s.scope_gc_clauses;
-        self.probe_units += s.probe_units;
-        self.subsumed += s.subsumed;
-        self.strengthened += s.strengthened;
-        self.escalations += s.escalations;
-        self.races += s.races;
-        self.race_workers += s.race_workers;
-        for (t, w) in self.race_wins.iter_mut().zip(s.race_wins.iter()) {
-            *t += w;
-        }
-        self.clauses_exported += s.clauses_exported;
-        self.clauses_imported += s.clauses_imported;
-        self.cubes_total += s.cubes_total;
-        self.cubes_solved += s.cubes_solved;
-        self.encode_time += s.encode_time;
-        self.ack_time += s.ack_time;
-        self.bitblast_time += s.bitblast_time;
-        self.solve_time += s.solve_time;
-        self.unsat_queries += s.unsat_queries;
-        self.certified_unsat += s.certified_unsat;
-        self.proof_steps += s.proof_steps;
-        self.proof_bytes += s.proof_bytes;
-        self.proofs_checked += s.proofs_checked;
-        self.proof_lemmas += s.proof_lemmas;
-        self.proof_core_steps += s.proof_core_steps;
-        self.proof_check_time += s.proof_check_time;
-        self.simplify_time += s.simplify_time;
-        self.simplify_terms += s.simplify_terms;
-        self.simplify_rewrites += s.simplify_rewrites;
-        self.simplify_bits_pinned += s.simplify_bits_pinned;
-        self.simplify_conjuncts_before += s.simplify_conjuncts_before;
-        self.simplify_conjuncts_after += s.simplify_conjuncts_after;
-        self.simplify_coi_dropped += s.simplify_coi_dropped;
-        self.statically_discharged += s.statically_discharged;
-    }
-}
-
 /// One retractable assertion scope.
 #[derive(Debug, Default)]
 struct Scope {
@@ -429,8 +183,8 @@ pub struct Solver {
     engine: Option<Engine>,
     /// Statistics from the most recent `check` (per-call delta).
     pub stats: SolverStats,
-    /// Cumulative statistics over every `check` on this solver.
-    pub totals: SolverTotals,
+    /// Every `check`'s delta merged: lifetime totals of this solver.
+    pub totals: SolverStats,
 }
 
 impl Solver {
@@ -526,12 +280,15 @@ impl Solver {
         if let Err(e) = ctx.validate() {
             panic!("term store failed validation at query entry: {e}");
         }
-        self.stats = SolverStats::default();
+        self.stats = SolverStats {
+            checks: 1,
+            ..SolverStats::default()
+        };
         let result = self.check_inner(ctx);
         if result.is_unsat() {
             self.stats.unsat_queries = 1;
         }
-        self.totals.absorb(&self.stats);
+        self.totals.merge(&self.stats);
         result
     }
 
@@ -892,16 +649,6 @@ impl Solver {
         let encode_elapsed = encode_start.elapsed();
         self.stats.encode_time += encode_elapsed;
         self.stats.bitblast_time += encode_elapsed.saturating_sub(ack_elapsed);
-        if std::env::var("HK_SMT_TRACE").is_ok() {
-            eprintln!(
-                "[smt] incremental delta: {} vars, +{} clauses, {} active assertions, +{} congruence ({:.1}s)",
-                num_vars,
-                new_clauses.len(),
-                active.len(),
-                self.stats.ackermann_constraints,
-                self.stats.encode_time.as_secs_f64()
-            );
-        }
         // 4. Solve under the open scopes' activation literals.
         let assumptions: Vec<Lit> = self.scopes.iter().filter_map(|s| s.act).collect();
         let solve_start = Instant::now();
@@ -913,17 +660,7 @@ impl Solver {
         // snapshot, not a start-of-solve one: clause-loading and
         // `pop`-planted units (with their scope GC) that ran between
         // checks land here, once.
-        self.stats.conflicts += engine.sat.stats.conflicts - engine.snap.conflicts;
-        self.stats.decisions += engine.sat.stats.decisions - engine.snap.decisions;
-        self.stats.propagations += engine.sat.stats.propagations - engine.snap.propagations;
-        self.stats.restarts += engine.sat.stats.restarts - engine.snap.restarts;
-        self.stats.db_reductions += engine.sat.stats.db_reductions - engine.snap.db_reductions;
-        self.stats.learnts_removed +=
-            engine.sat.stats.learnts_removed - engine.snap.learnts_removed;
-        self.stats.scope_gc_clauses += engine.sat.stats.gc_clauses - engine.snap.gc_clauses;
-        self.stats.probe_units += engine.sat.stats.probe_units - engine.snap.probe_units;
-        self.stats.subsumed += engine.sat.stats.subsumed - engine.snap.subsumed;
-        self.stats.strengthened += engine.sat.stats.strengthened - engine.snap.strengthened;
+        add_sat_work(&mut self.stats, &engine.sat.stats, &engine.snap);
         engine.snap = engine.sat.stats;
         if let Some(pr) = engine.sat.proof() {
             self.stats.proof_steps += pr.num_steps() - engine.proof_steps_snap;
@@ -1046,16 +783,6 @@ impl Solver {
         let encode_elapsed = encode_start.elapsed();
         self.stats.encode_time += encode_elapsed;
         self.stats.bitblast_time += encode_elapsed.saturating_sub(ack_elapsed);
-        if std::env::var("HK_SMT_TRACE").is_ok() {
-            eprintln!(
-                "[smt] encoded: {} vars, {} clauses, {} assertions, {} congruence ({:.1}s)",
-                num_vars,
-                clauses.len(),
-                self.stats.assertions,
-                self.stats.ackermann_constraints,
-                self.stats.encode_time.as_secs_f64()
-            );
-        }
         // 4. SAT.
         let solve_start = Instant::now();
         let mut race = RaceReport::default();
@@ -1068,16 +795,7 @@ impl Solver {
         };
         self.stats.solve_time += solve_start.elapsed();
         Self::absorb_race(&mut self.stats, &race);
-        self.stats.conflicts += sat.stats.conflicts;
-        self.stats.decisions += sat.stats.decisions;
-        self.stats.propagations += sat.stats.propagations;
-        self.stats.restarts += sat.stats.restarts;
-        self.stats.db_reductions += sat.stats.db_reductions;
-        self.stats.learnts_removed += sat.stats.learnts_removed;
-        self.stats.scope_gc_clauses += sat.stats.gc_clauses;
-        self.stats.probe_units += sat.stats.probe_units;
-        self.stats.subsumed += sat.stats.subsumed;
-        self.stats.strengthened += sat.stats.strengthened;
+        add_sat_work(&mut self.stats, &sat.stats, &SatStats::default());
         if let Some(pr) = sat.proof() {
             self.stats.proof_steps += pr.num_steps();
             self.stats.proof_bytes += pr.byte_len() as u64;
@@ -1186,6 +904,21 @@ impl Solver {
             }
         }
     }
+}
+
+/// Adds the CDCL work a SAT core did between the counter snapshots
+/// `since` and `now` to the per-call stats.
+fn add_sat_work(stats: &mut SolverStats, now: &SatStats, since: &SatStats) {
+    stats.conflicts += now.conflicts - since.conflicts;
+    stats.decisions += now.decisions - since.decisions;
+    stats.propagations += now.propagations - since.propagations;
+    stats.restarts += now.restarts - since.restarts;
+    stats.db_reductions += now.db_reductions - since.db_reductions;
+    stats.learnts_removed += now.learnts_removed - since.learnts_removed;
+    stats.scope_gc_clauses += now.gc_clauses - since.gc_clauses;
+    stats.probe_units += now.probe_units - since.probe_units;
+    stats.subsumed += now.subsumed - since.subsumed;
+    stats.strengthened += now.strengthened - since.strengthened;
 }
 
 /// Lifts a SAT model back to term variables and UF interpretations.
