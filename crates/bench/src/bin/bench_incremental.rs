@@ -20,8 +20,11 @@
 //! (the second run is the measurement noise floor: the disabled path is
 //! one `Option` check, so any delta is jitter, not feature cost), once
 //! with proof logging only, and once fully certified (logging plus the
-//! independent backward checker re-deriving every Unsat) — and writes
-//! per-handler overhead columns to `BENCH_PR5.json`.
+//! independent backward checker re-deriving every Unsat) — plus a fifth,
+//! certified oneshot column, and writes per-handler overhead columns to
+//! `BENCH_PR5.json`. The run exits nonzero if certified incremental
+//! loses to certified oneshot on aggregate `total_ms`: incremental must
+//! win with certification on too.
 //!
 //! With `--parallel` it measures intra-query parallel solving: the
 //! fully certified incremental pipeline runs once per thread count
@@ -213,40 +216,45 @@ fn run_certify_bench(
     let disabled = run(image, params, handlers, true, false, false, 1, false);
     let logged = run(image, params, handlers, true, true, false, 1, false);
     let certified = run(image, params, handlers, true, false, true, 1, false);
+    let certified_oneshot = run(image, params, handlers, false, false, true, 1, false);
     println!(
-        "{:<18} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
-        "handler", "base", "disabled", "log", "certify", "log %", "cert %"
+        "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
+        "handler", "base", "disabled", "log", "certify", "1shot cert", "log %", "cert %"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
     for (i, b) in baseline.handlers.iter().enumerate() {
-        let (d, l, c) = (
+        let (d, l, c, o) = (
             &disabled.handlers[i],
             &logged.handlers[i],
             &certified.handlers[i],
+            &certified_oneshot.handlers[i],
         );
         check_verdicts(b, l, "proof logging");
         check_verdicts(b, c, "certification");
+        check_verdicts(c, o, "certified oneshot");
         let log_pct = pct(ms(l.time), ms(b.time));
         let cert_pct = pct(ms(c.time), ms(b.time));
         println!(
-            "{:<18} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>7.1}% {:>7.1}%",
+            "{:<18} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>7.1}% {:>7.1}%",
             b.sysno.func_name(),
             ms(b.time),
             ms(d.time),
             ms(l.time),
             ms(c.time),
+            ms(o.time),
             log_pct,
             cert_pct
         );
         json.push_str(&format!(
             "    \"{}\": {{\"baseline\": {}, \"disabled_repeat\": {}, \"proof_log\": {}, \
-             \"certify\": {}, \"disabled_delta_pct\": {:.3}, \
+             \"certify\": {}, \"certify_oneshot\": {}, \"disabled_delta_pct\": {:.3}, \
              \"proof_log_overhead_pct\": {log_pct:.3}, \"certify_overhead_pct\": {cert_pct:.3}}}",
             b.sysno.func_name(),
             b.to_json(),
             d.to_json(),
             l.to_json(),
             c.to_json(),
+            o.to_json(),
             pct(ms(d.time), ms(b.time))
         ));
         json.push_str(if i + 1 < baseline.handlers.len() {
@@ -255,11 +263,12 @@ fn run_certify_bench(
             "\n"
         });
     }
-    let (b_tot, d_tot, l_tot, c_tot) = (
+    let (b_tot, d_tot, l_tot, c_tot, o_tot) = (
         handler_sum_ms(&baseline),
         handler_sum_ms(&disabled),
         handler_sum_ms(&logged),
         handler_sum_ms(&certified),
+        handler_sum_ms(&certified_oneshot),
     );
     let disabled_pct = pct(d_tot, b_tot);
     let log_pct = pct(l_tot, b_tot);
@@ -268,8 +277,9 @@ fn run_certify_bench(
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"baseline_total_ms\": {b_tot:.3},\n    \
          \"disabled_total_ms\": {d_tot:.3},\n    \"proof_log_total_ms\": {l_tot:.3},\n    \
-         \"certify_total_ms\": {c_tot:.3},\n    \"baseline_wall_ms\": {bw:.3},\n    \
-         \"certify_wall_ms\": {cw:.3},\n    \"disabled_delta_pct\": {disabled_pct:.3},\n    \
+         \"certify_total_ms\": {c_tot:.3},\n    \"certify_oneshot_total_ms\": {o_tot:.3},\n    \
+         \"baseline_wall_ms\": {bw:.3},\n    \"certify_wall_ms\": {cw:.3},\n    \
+         \"certify_oneshot_wall_ms\": {ow:.3},\n    \"disabled_delta_pct\": {disabled_pct:.3},\n    \
          \"proof_log_overhead_pct\": {log_pct:.3},\n    \"certify_overhead_pct\": {cert_pct:.3},\n    \
          \"certify_phases\": {}\n  }},\n  \
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"incremental\": true, \
@@ -278,6 +288,7 @@ fn run_certify_bench(
         handlers.len(),
         bw = ms(baseline.total_time),
         cw = ms(certified.total_time),
+        ow = ms(certified_oneshot.total_time),
         features = features_json(true, false, true, false, false)
     ));
     println!(
@@ -287,6 +298,7 @@ fn run_certify_bench(
     println!(
         "proof logging:   {l_tot:.1}ms ({log_pct:+.1}%), certified: {c_tot:.1}ms ({cert_pct:+.1}%)"
     );
+    println!("certified total: {c_tot:.1}ms incremental vs {o_tot:.1}ms oneshot");
     println!(
         "certified {}/{} unsat answers, {} proofs checked, {} DRAT steps, {} bytes, {:.1}ms checking",
         t.certified_unsat,
@@ -300,6 +312,17 @@ fn run_certify_bench(
     println!("\nwrote {}", out_path.display());
     if smoke && log_pct > 10.0 {
         eprintln!("warning: proof logging overhead above 10% ({log_pct:.1}%)");
+    }
+    // The incremental-beats-oneshot criterion, with certification on: a
+    // session-persistent checker verifies each lemma once per handler,
+    // so certifying must not turn the shipping pipeline into the slower
+    // one.
+    if c_tot > o_tot {
+        eprintln!(
+            "FAIL: certified incremental aggregate total {c_tot:.1}ms exceeds certified \
+             oneshot {o_tot:.1}ms"
+        );
+        std::process::exit(1);
     }
 }
 

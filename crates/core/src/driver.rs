@@ -190,7 +190,7 @@ impl VerifyReport {
         if t.certified_unsat > 0 {
             let _ = writeln!(
                 out,
-                "proof: {}/{} unsat answers certified ({} DRAT steps, {} core, {} bytes, {:.2}s checking)",
+                "proof: {}/{} unsat answers certified ({} DRAT steps, {} lemmas checked, {} bytes, {:.2}s checking)",
                 t.certified_unsat,
                 t.unsat_queries,
                 t.proof_steps,

@@ -145,7 +145,7 @@ pub enum VerifyEvent {
         certified: u64,
         /// DRAT steps logged by the SAT core across the handler.
         proof_steps: u64,
-        /// Steps the backward checker actually had to verify.
+        /// Lemmas the checker RUP-verified, each once per handler session.
         core_steps: u64,
         /// Bytes of binary-DRAT proof produced.
         proof_bytes: u64,
@@ -301,7 +301,7 @@ impl EventSink {
                 ..
             } => {
                 eprintln!(
-                    "[verify] {:<24} certified  {certified}/{unsat_queries} unsat ({proof_steps} proof steps, {core_steps} core, {:.2}s check)",
+                    "[verify] {:<24} certified  {certified}/{unsat_queries} unsat ({proof_steps} proof steps, {core_steps} lemmas checked, {:.2}s check)",
                     sysno.func_name(),
                     check_time.as_secs_f64()
                 );

@@ -1,35 +1,53 @@
-//! The independent backward DRAT checker.
+//! The independent backward DRAT checker, kept alive across one
+//! append-only proof stream.
 //!
-//! The checker rebuilds the clause database by replaying the proof
-//! forward (resolving each deletion to a concrete clause copy), then
-//! walks the proof **backwards** from the final lemma. A lemma is
-//! RUP-checked only if some later check used it as an antecedent — the
-//! rest of the proof is dead weight and is skipped, which is both the
-//! classic performance trick and the *trimming* output: the marked core
-//! is exactly the part of the proof the refutation needs.
+//! A [`ProofSession`] owns everything it has learned from the bytes it
+//! consumed: one record per step, the clause database as of the end of
+//! the stream (each deletion resolved to a concrete clause copy), the
+//! root trail, and which lemmas are already verified. Each
+//! [`ProofSession::check`] call confirms that the stream still begins
+//! with the consumed bytes, parses only the new suffix, and walks
+//! **backwards** from the stream's final lemma. A lemma is RUP-checked
+//! only if some later check used it as an antecedent — the rest of the
+//! proof is dead weight and is skipped, which is both the classic
+//! performance trick and the *trimming* output. The walk stops as soon as
+//! no unverified lemma it marked lies below it, and the walked suffix is
+//! then replayed forward so the next call starts from the end of the
+//! stream again. [`check_proof`] is a session with one call.
+//!
+//! The memo is sound because a lemma's RUP check at its step sees the
+//! stream's inputs plus the earlier lemmas still active there. Appending
+//! to the stream only adds inputs (propagation is monotone in the clause
+//! set) and places new lemmas and deletions *after* every consumed step,
+//! so a lemma verified once stays verified for the session's lifetime.
+//! A call's antecedents stop at memoized lemmas, so its core counts cover
+//! only the new work; a rejected stream stays rejected.
 //!
 //! A RUP (reverse unit propagation) check of clause `C` asserts the
 //! negation of every literal of `C` on top of the persistent root trail
 //! and requires unit propagation to derive a conflict. Propagation uses
 //! two watched literals per clause; clauses leave and re-enter the
-//! database as the backward pass crosses addition and deletion steps, so
-//! watch entries carry a generation stamp and are dropped lazily when
-//! stale. When a clause that currently *forces* a root literal is
-//! deactivated, the trail is truncated from that literal and the
-//! propagation queue is rewound to zero — re-scanning the surviving
-//! prefix is what keeps the watch invariants sound across mid-trail
-//! truncation, which ordinary CDCL backtracking never does.
+//! database as the walk crosses addition and deletion steps, so watch
+//! entries carry a generation stamp and are dropped lazily when stale.
+//! When a clause that currently *forces* a root literal is deactivated,
+//! the checker first looks for another active clause that forces the
+//! same literal from strictly earlier trail literals and makes it the
+//! reason (a reason swap: the trail stays as it is). Only when there is
+//! none is the trail truncated from that literal and the propagation
+//! queue rewound to zero — re-scanning the surviving prefix is what keeps
+//! the watch invariants sound across mid-trail truncation, which
+//! ordinary CDCL backtracking never does.
 //!
 //! Input clauses (`i` steps) are axioms: they stay active at every
 //! position, so a lemma may freely use inputs that appear later in the
 //! stream (the incremental solver grows the formula between solve
 //! calls), while lemmas may only use *earlier* lemmas — the backward
-//! pass deactivates each lemma before checking it, which rules out
+//! walk deactivates each lemma before checking it, which rules out
 //! circular justification structurally.
 
 use std::collections::HashMap;
 
-use crate::parse::{parse_proof, StepKind};
+use crate::parse::{parse_step, StepKind};
 use crate::ProofError;
 
 const UNDEF: u8 = 2;
@@ -38,20 +56,26 @@ const FALSE: u8 = 0;
 
 const NO_REASON: u32 = u32::MAX;
 
-/// What a successful check reports.
+/// What one successful check reports. The counts cover this call's work
+/// only: the steps it parsed and the lemmas it verified. For
+/// [`check_proof`], a one-call session, that is the whole stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOutcome {
-    /// Total proof steps.
+    /// Steps parsed by this call.
     pub steps: usize,
-    /// Input (`i`) steps.
+    /// Input (`i`) steps parsed by this call.
     pub inputs: usize,
-    /// Lemma (`a`) steps.
+    /// Lemma (`a`) steps parsed by this call.
     pub lemmas: usize,
-    /// Deletion (`d`) steps.
+    /// Deletion (`d`) steps parsed by this call.
     pub deletions: usize,
-    /// Lemmas on the verified core (each RUP-checked).
+    /// Lemmas on the core that this call verified, each RUP-checked
+    /// (or a tautology). A lemma an earlier call of the same session
+    /// verified is neither checked again nor counted.
     pub core_lemmas: usize,
-    /// Input clauses the core derivation uses.
+    /// Input clauses this call's checks used. Checks stop at memoized
+    /// lemmas, so in a session this is part of the query's input core;
+    /// the full core of one query needs a fresh [`check_proof`].
     pub core_inputs: usize,
     /// The certified final clause (sorted), i.e. the last lemma of the
     /// stream. Empty means the inputs were refuted outright; non-empty
@@ -62,6 +86,8 @@ pub struct CheckOutcome {
 impl CheckOutcome {
     /// Fraction of the lemmas the refutation actually used; `1.0 -
     /// trim_ratio()` is the share of the proof that trimming discards.
+    /// Meaningful for a whole-stream check: a later session call may
+    /// verify lemmas that an earlier call parsed.
     pub fn trim_ratio(&self) -> f64 {
         if self.lemmas == 0 {
             0.0
@@ -82,7 +108,12 @@ struct CClause {
     /// Bumped on every reactivation; watch entries with an older stamp
     /// are stale and dropped lazily.
     gen: u32,
-    core: bool,
+    /// The session call whose checks last used this clause (0: none).
+    core: u32,
+    /// A lemma some call of this session verified at its step.
+    verified: bool,
+    /// A later step of the stream deletes this copy.
+    deleted: bool,
     input: bool,
     /// Contains both `l` and `¬l`: trivially valid and propagationally
     /// inert, so never watched and never RUP-checked.
@@ -114,14 +145,20 @@ fn enc(l: i32) -> usize {
 
 /// Sorts by (variable, sign), dedups, and reports whether the clause is
 /// a tautology.
-fn normalize(lits: &[i32]) -> (Vec<i32>, bool) {
-    let mut out = lits.to_vec();
-    out.sort_unstable_by_key(|&l| (l.unsigned_abs(), l < 0));
-    out.dedup();
-    let taut = out
+fn normalize(mut lits: Vec<i32>) -> (Vec<i32>, bool) {
+    lits.sort_unstable_by_key(|&l| (l.unsigned_abs(), l < 0));
+    lits.dedup();
+    let taut = lits
         .windows(2)
         .any(|w| w[0].unsigned_abs() == w[1].unsigned_abs());
-    (out, taut)
+    (lits, taut)
+}
+
+/// FNV-1a over a normalized clause: the key of the deletion index.
+fn clause_hash(lits: &[i32]) -> u64 {
+    lits.iter().fold(0xcbf2_9ce4_8422_2325, |h, &l| {
+        (h ^ u64::from(l as u32)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[derive(Debug, Default)]
@@ -135,9 +172,10 @@ struct Checker {
     trail_pos: Vec<usize>,
     trail: Vec<i32>,
     qhead: usize,
-    /// Active size-1 clauses; re-enqueued after trail truncation (unit
-    /// clauses have no watches, so nothing else would re-derive them).
-    unit_crefs: Vec<u32>,
+    /// Every size-1 clause; the active ones are re-enqueued after trail
+    /// truncation (unit clauses have no watches, so nothing else would
+    /// re-derive them).
+    units: Vec<u32>,
     /// Clauses suspected falsified under the root assignment; validated
     /// lazily before each use.
     falsified: Vec<u32>,
@@ -145,6 +183,14 @@ struct Checker {
     dirty: bool,
     mark: Vec<u32>,
     stamp: u32,
+    /// The current session call, stamped on the clauses its checks use.
+    call: u32,
+    /// Lemmas this call marked that are not yet verified.
+    pending: usize,
+    /// Lemmas this call added to the verified core.
+    core_lemmas: usize,
+    /// Inputs this call's checks used.
+    core_inputs: usize,
 }
 
 impl Checker {
@@ -159,16 +205,22 @@ impl Checker {
         }
     }
 
+    /// Adds an active, not yet attached clause.
     fn new_clause(&mut self, lits: Vec<i32>, input: bool, tautology: bool) -> u32 {
         self.reserve(&lits);
         let cref = self.clauses.len() as u32;
+        if lits.len() == 1 {
+            self.units.push(cref);
+        }
         self.clauses.push(CClause {
             lits,
             w0: 0,
             w1: 0,
             active: true,
             gen: 0,
-            core: false,
+            core: 0,
+            verified: false,
+            deleted: false,
             input,
             tautology,
             reason_var: 0,
@@ -217,34 +269,52 @@ impl Checker {
         });
     }
 
-    /// Builds watches and enqueues units over the clauses active at the
-    /// end of the forward replay.
-    fn init(&mut self) {
-        for cref in 0..self.clauses.len() as u32 {
-            let c = &self.clauses[cref as usize];
-            if !c.active || c.tautology {
-                continue;
-            }
-            match c.lits.len() {
-                0 => self.falsified.push(cref),
-                1 => {
-                    self.unit_crefs.push(cref);
-                    let l = self.clauses[cref as usize].lits[0];
-                    match self.value(l) {
-                        UNDEF => self.assign_lit(l, cref),
-                        FALSE => self.falsified.push(cref),
-                        _ => {}
+    /// Establishes the watch/unit invariants of an active clause under
+    /// the *current* root assignment.
+    fn attach(&mut self, cref: u32) {
+        let c = &self.clauses[cref as usize];
+        if c.tautology {
+            return;
+        }
+        match *c.lits.as_slice() {
+            [] => self.falsified.push(cref),
+            [l] => match self.value(l) {
+                UNDEF => self.assign_lit(l, cref),
+                FALSE => self.falsified.push(cref),
+                _ => {}
+            },
+            [l0, l1, ..] => {
+                let mut free = c.lits.iter().copied().filter(|&y| self.value(y) != FALSE);
+                match (free.next(), free.next()) {
+                    (Some(a), Some(b)) => self.watch(cref, a, b),
+                    (Some(a), None) => {
+                        // Unit (or satisfied): the second watch is a
+                        // falsified literal, which is safe because `a`
+                        // only becomes unassigned by a truncation, and
+                        // that rewinds the queue to zero and re-scans the
+                        // falsifier.
+                        let b = if a == l0 { l1 } else { l0 };
+                        self.watch(cref, a, b);
+                        if self.value(a) == UNDEF {
+                            self.assign_lit(a, cref);
+                        }
                     }
-                }
-                _ => {
-                    let (a, b) = {
-                        let c = &self.clauses[cref as usize];
-                        (c.lits[0], c.lits[1])
-                    };
-                    self.watch(cref, a, b);
+                    (None, _) => {
+                        self.watch(cref, l0, l1);
+                        self.falsified.push(cref);
+                    }
                 }
             }
         }
+    }
+
+    /// Re-enters a clause the walk crosses backwards over its deletion
+    /// step (or forwards over its addition step).
+    fn reactivate(&mut self, cref: u32) {
+        let c = &mut self.clauses[cref as usize];
+        c.gen += 1;
+        c.active = true;
+        self.attach(cref);
     }
 
     /// Unassigns the trail suffix from `pos` and rewinds the propagation
@@ -265,61 +335,42 @@ impl Checker {
     fn deactivate(&mut self, cref: u32) {
         let c = &mut self.clauses[cref as usize];
         c.active = false;
-        let rv = c.reason_var;
-        c.reason_var = 0;
-        if rv != 0 {
-            let v = rv as usize;
-            if self.assign[v] != UNDEF && self.reason[v] == cref {
-                self.truncate_from(self.trail_pos[v]);
+        let rv = std::mem::take(&mut c.reason_var);
+        if rv == 0 {
+            return;
+        }
+        let v = rv as usize;
+        if self.assign[v] == UNDEF || self.reason[v] != cref {
+            return;
+        }
+        let pos = self.trail_pos[v];
+        match self.other_reason(self.trail[pos], pos) {
+            Some(r) => {
+                self.reason[v] = r;
+                self.clauses[r as usize].reason_var = rv;
             }
+            None => self.truncate_from(pos),
         }
     }
 
-    /// Re-enters a clause crossed backwards over its deletion step,
-    /// re-establishing the watch/unit invariants under the *current*
-    /// root assignment.
-    fn reactivate(&mut self, cref: u32) {
-        {
-            let c = &mut self.clauses[cref as usize];
-            c.gen += 1;
-            c.active = true;
-            if c.tautology {
-                return;
-            }
-        }
-        let lits = self.clauses[cref as usize].lits.clone();
-        match lits.len() {
-            0 => self.falsified.push(cref),
-            1 => {
-                self.unit_crefs.push(cref);
-                match self.value(lits[0]) {
-                    UNDEF => self.assign_lit(lits[0], cref),
-                    FALSE => self.falsified.push(cref),
-                    _ => {}
-                }
-            }
-            _ => {
-                let mut free = lits.iter().copied().filter(|&y| self.value(y) != FALSE);
-                match (free.next(), free.next()) {
-                    (Some(a), Some(b)) => self.watch(cref, a, b),
-                    (Some(a), None) => {
-                        // Unit (or satisfied): the second watch is a
-                        // falsified literal, which is safe because any
-                        // later truncation rewinds the queue to zero and
-                        // re-scans the falsifier.
-                        let b = lits.iter().copied().find(|&y| y != a).expect("len >= 2");
-                        self.watch(cref, a, b);
-                        if self.value(a) == UNDEF {
-                            self.assign_lit(a, cref);
-                        }
-                    }
-                    (None, _) => {
-                        self.watch(cref, lits[0], lits[1]);
-                        self.falsified.push(cref);
-                    }
-                }
-            }
-        }
+    /// An active clause that forces the root literal `l` at trail
+    /// position `pos` from literals strictly before it, searched among
+    /// the clauses watching `l`. Every other literal of the clause must
+    /// be false at an earlier position, so the trail stays self-justified
+    /// with it as `l`'s reason.
+    fn other_reason(&self, l: i32, pos: usize) -> Option<u32> {
+        self.watches[enc(l)].iter().find_map(|w| {
+            let c = &self.clauses[w.cref as usize];
+            let forces = c.active
+                && c.gen == w.gen
+                && c.lits.contains(&l)
+                && c.lits.iter().all(|&y| {
+                    y == l
+                        || (self.value(y) == FALSE
+                            && self.trail_pos[y.unsigned_abs() as usize] < pos)
+                });
+            forces.then_some(w.cref)
+        })
     }
 
     /// Two-watched-literal unit propagation. On conflict the queue is
@@ -435,9 +486,9 @@ impl Checker {
         }
         if self.dirty {
             self.dirty = false;
-            let units = std::mem::take(&mut self.unit_crefs);
             let mut confl = None;
-            for &cref in &units {
+            for k in 0..self.units.len() {
+                let cref = self.units[k];
                 let c = &self.clauses[cref as usize];
                 if !c.active {
                     continue;
@@ -455,10 +506,6 @@ impl Checker {
                     _ => {}
                 }
             }
-            self.unit_crefs = units
-                .into_iter()
-                .filter(|&c| self.clauses[c as usize].active)
-                .collect();
             if confl.is_some() {
                 return confl;
             }
@@ -473,13 +520,34 @@ impl Checker {
         None
     }
 
+    /// Stamps `cref` as used by this call's checks, counting it once: an
+    /// input joins the call's input core, and a lemma no call has
+    /// verified yet joins the lemmas the walk must still check.
+    fn use_clause(&mut self, cref: u32) {
+        let c = &mut self.clauses[cref as usize];
+        if c.core == self.call {
+            return;
+        }
+        c.core = self.call;
+        if c.input {
+            self.core_inputs += 1;
+        } else if !c.verified {
+            self.core_lemmas += 1;
+            if c.tautology {
+                c.verified = true;
+            } else {
+                self.pending += 1;
+            }
+        }
+    }
+
     /// Marks the conflict's antecedent cone: the falsified clause plus
     /// every reason clause reachable through the implication graph.
     fn mark_core(&mut self, confl: &Conflict) {
         self.stamp += 1;
         let mut stack: Vec<usize> = Vec::new();
         if let Some(cref) = confl.cause {
-            self.clauses[cref as usize].core = true;
+            self.use_clause(cref);
             for &l in &self.clauses[cref as usize].lits {
                 stack.push(l.unsigned_abs() as usize);
             }
@@ -499,7 +567,7 @@ impl Checker {
             if r == NO_REASON {
                 continue;
             }
-            self.clauses[r as usize].core = true;
+            self.use_clause(r);
             for &l in &self.clauses[r as usize].lits {
                 stack.push(l.unsigned_abs() as usize);
             }
@@ -553,109 +621,224 @@ impl Checker {
     }
 }
 
-/// Checks a complete binary-DRAT stream.
+/// One consumed step: its kind, the clause copy it adds or deletes, and
+/// its byte offset (to quote a rejected lemma as the stream wrote it).
+#[derive(Debug, Clone, Copy)]
+struct StepRec {
+    kind: StepKind,
+    cref: u32,
+    at: usize,
+}
+
+/// A checker session for one append-only binary-DRAT stream, such as the
+/// proof log of an incremental solver: call [`ProofSession::check`] with
+/// the whole stream each time it has grown. Each lemma is RUP-checked at
+/// most once per session, so a session's total checking work is linear
+/// in the lemmas its refutations use, however many times it is called.
+#[derive(Debug, Default)]
+pub struct ProofSession {
+    /// The stream bytes consumed so far; every call must extend them.
+    seen: Vec<u8>,
+    steps: Vec<StepRec>,
+    /// Active clause copies by [`clause_hash`] of their normalized
+    /// literals (deletions name clauses by content; multiset semantics).
+    copies: HashMap<u64, Vec<u32>>,
+    /// The clause of the stream's last lemma.
+    last_lemma: Option<u32>,
+    chk: Checker,
+    /// The first rejection; a rejected stream stays rejected.
+    failed: Option<ProofError>,
+}
+
+impl ProofSession {
+    /// Creates a session that has consumed nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Checks the stream `bytes`, which must extend the bytes every
+    /// earlier call consumed.
+    ///
+    /// The certified claim on success: the conjunction of the stream's
+    /// input clauses implies [`CheckOutcome::final_clause`] (the last
+    /// lemma). An empty final clause certifies the inputs unsatisfiable.
+    /// After an error, every later call returns that error.
+    pub fn check(&mut self, bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let out = self.advance(bytes);
+        if let Err(e) = &out {
+            self.failed = Some(e.clone());
+        }
+        out
+    }
+
+    fn advance(&mut self, bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
+        let changed = self
+            .seen
+            .iter()
+            .zip(bytes)
+            .position(|(a, b)| a != b)
+            .or((bytes.len() < self.seen.len()).then_some(bytes.len()));
+        if let Some(offset) = changed {
+            return Err(ProofError::PrefixChanged { offset });
+        }
+        let (inputs, lemmas, deletions) = self.append(bytes)?;
+        let target_cref = self.last_lemma.ok_or(ProofError::NoLemma)?;
+        let chk = &mut self.chk;
+        chk.call += 1;
+        chk.core_lemmas = 0;
+        chk.core_inputs = 0;
+        chk.use_clause(target_cref);
+        self.walk()?;
+        let mut final_clause = self.chk.clauses[target_cref as usize].lits.clone();
+        final_clause.sort_unstable();
+        Ok(CheckOutcome {
+            steps: inputs + lemmas + deletions,
+            inputs,
+            lemmas,
+            deletions,
+            core_lemmas: self.chk.core_lemmas,
+            core_inputs: self.chk.core_inputs,
+            final_clause,
+        })
+    }
+
+    /// Parses the bytes past the consumed prefix into the database,
+    /// resolving each deletion to a concrete clause copy, and returns the
+    /// new input, lemma and deletion counts.
+    fn append(&mut self, bytes: &[u8]) -> Result<(usize, usize, usize), ProofError> {
+        let (mut inputs, mut lemmas, mut deletions) = (0, 0, 0);
+        let first_new = self.chk.clauses.len();
+        let mut pos = self.seen.len();
+        while pos < bytes.len() {
+            let (step, next) = parse_step(bytes, pos)?;
+            let index = self.steps.len();
+            let cref = match step.kind {
+                StepKind::Input | StepKind::Add => {
+                    let (lits, taut) = normalize(step.lits);
+                    let is_input = step.kind == StepKind::Input;
+                    let hash = clause_hash(&lits);
+                    let cref = self.chk.new_clause(lits, is_input, taut);
+                    self.copies.entry(hash).or_default().push(cref);
+                    if is_input {
+                        inputs += 1;
+                    } else {
+                        lemmas += 1;
+                        self.last_lemma = Some(cref);
+                    }
+                    cref
+                }
+                StepKind::Delete => {
+                    deletions += 1;
+                    let (lits, _) = normalize(step.lits);
+                    let cref = self
+                        .take_copy(&lits)
+                        .ok_or_else(|| ProofError::BogusDeletion {
+                            step: index,
+                            clause: parse_step(bytes, pos).expect("parsed above").0.lits,
+                        })?;
+                    self.chk.clauses[cref as usize].deleted = true;
+                    self.chk.deactivate(cref);
+                    cref
+                }
+            };
+            self.steps.push(StepRec {
+                kind: step.kind,
+                cref,
+                at: pos,
+            });
+            pos = next;
+        }
+        // Clauses added and deleted within the suffix are never attached.
+        for cref in first_new as u32..self.chk.clauses.len() as u32 {
+            if self.chk.clauses[cref as usize].active {
+                self.chk.attach(cref);
+            }
+        }
+        self.seen.extend_from_slice(&bytes[self.seen.len()..]);
+        Ok((inputs, lemmas, deletions))
+    }
+
+    /// Retires the last active copy of the normalized clause `lits`,
+    /// preferring a lemma copy over an input copy (inputs are axioms;
+    /// when the producer's root-level GC deletes an input clause, its
+    /// level-0-stripped form was also logged as a lemma, so the lemma
+    /// copy is the one to spend).
+    fn take_copy(&mut self, lits: &[i32]) -> Option<u32> {
+        let hash = clause_hash(lits);
+        let list = self.copies.get_mut(&hash)?;
+        let clauses = &self.chk.clauses;
+        let same = |c: u32| clauses[c as usize].lits == lits;
+        let pos = list
+            .iter()
+            .rposition(|&c| same(c) && !clauses[c as usize].input)
+            .or_else(|| list.iter().rposition(|&c| same(c)))?;
+        let cref = list.remove(pos);
+        if list.is_empty() {
+            self.copies.remove(&hash);
+        }
+        Some(cref)
+    }
+
+    /// Walks backwards from the end of the stream, reactivating deleted
+    /// clauses and deactivating lemmas, RUP-checking each lemma this call
+    /// marked that no call has verified. Stops once none is left below
+    /// the walk, then replays the walked steps forward.
+    fn walk(&mut self) -> Result<(), ProofError> {
+        let chk = &mut self.chk;
+        let mut i = self.steps.len();
+        while chk.pending > 0 {
+            i = i
+                .checked_sub(1)
+                .expect("a pending lemma lies below the walk");
+            let StepRec { kind, cref, at } = self.steps[i];
+            match kind {
+                StepKind::Delete => chk.reactivate(cref),
+                StepKind::Input => {}
+                StepKind::Add => {
+                    chk.deactivate(cref);
+                    let c = &chk.clauses[cref as usize];
+                    if c.core == chk.call && !c.verified {
+                        let lits = c.lits.clone();
+                        if !chk.rup_check(&lits) {
+                            let (step, _) =
+                                parse_step(&self.seen, at).expect("consumed steps parse");
+                            return Err(ProofError::LemmaNotImplied {
+                                step: i,
+                                clause: step.lits,
+                            });
+                        }
+                        chk.clauses[cref as usize].verified = true;
+                        chk.pending -= 1;
+                    }
+                }
+            }
+        }
+        for rec in &self.steps[i..] {
+            match rec.kind {
+                StepKind::Delete => chk.deactivate(rec.cref),
+                StepKind::Input => {}
+                StepKind::Add => {
+                    if !chk.clauses[rec.cref as usize].deleted {
+                        chk.reactivate(rec.cref);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks a complete binary-DRAT stream: a [`ProofSession`] with one
+/// call.
 ///
 /// The certified claim on success: the conjunction of the stream's input
 /// clauses implies [`CheckOutcome::final_clause`] (the last lemma). An
 /// empty final clause certifies the inputs unsatisfiable.
 pub fn check_proof(bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
-    let steps = parse_proof(bytes)?;
-    let mut chk = Checker::default();
-    let mut by_key: HashMap<Vec<i32>, Vec<u32>> = HashMap::new();
-    let mut step_cref: Vec<u32> = Vec::with_capacity(steps.len());
-    let mut last_lemma: Option<usize> = None;
-    let (mut inputs, mut lemmas, mut deletions) = (0usize, 0usize, 0usize);
-    // Forward replay: build the database, resolve each deletion to a
-    // concrete clause copy (multiset semantics).
-    for (i, step) in steps.iter().enumerate() {
-        match step.kind {
-            StepKind::Input | StepKind::Add => {
-                let (key, taut) = normalize(&step.lits);
-                let is_input = step.kind == StepKind::Input;
-                let cref = chk.new_clause(key.clone(), is_input, taut);
-                by_key.entry(key).or_default().push(cref);
-                step_cref.push(cref);
-                if is_input {
-                    inputs += 1;
-                } else {
-                    lemmas += 1;
-                    last_lemma = Some(i);
-                }
-            }
-            StepKind::Delete => {
-                deletions += 1;
-                let (key, _) = normalize(&step.lits);
-                let cref = match by_key.get_mut(&key) {
-                    Some(list) if !list.is_empty() => {
-                        // Prefer retiring a lemma copy over an input
-                        // copy (inputs are axioms; when the producer's
-                        // root-level GC deletes an input clause, its
-                        // level-0-stripped form was also logged as a
-                        // lemma, so the lemma copy is the one to spend).
-                        let pos = list
-                            .iter()
-                            .rposition(|&c| !chk.clauses[c as usize].input)
-                            .unwrap_or(list.len() - 1);
-                        list.remove(pos)
-                    }
-                    _ => {
-                        return Err(ProofError::BogusDeletion {
-                            step: i,
-                            clause: step.lits.clone(),
-                        })
-                    }
-                };
-                chk.clauses[cref as usize].active = false;
-                step_cref.push(cref);
-            }
-        }
-    }
-    let target = last_lemma.ok_or(ProofError::NoLemma)?;
-    chk.init();
-    chk.clauses[step_cref[target] as usize].core = true;
-    // Backward pass: reactivate deletions, deactivate lemmas, RUP-check
-    // the core ones. Inputs stay active throughout (axioms).
-    for i in (0..steps.len()).rev() {
-        match steps[i].kind {
-            StepKind::Delete => chk.reactivate(step_cref[i]),
-            StepKind::Input => {}
-            StepKind::Add => {
-                let cref = step_cref[i] as usize;
-                let (core, taut) = (chk.clauses[cref].core, chk.clauses[cref].tautology);
-                chk.deactivate(step_cref[i]);
-                if core && !taut {
-                    let lits = chk.clauses[cref].lits.clone();
-                    if !chk.rup_check(&lits) {
-                        return Err(ProofError::LemmaNotImplied {
-                            step: i,
-                            clause: steps[i].lits.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let mut core_lemmas = 0;
-    let mut core_inputs = 0;
-    for (i, step) in steps.iter().enumerate() {
-        let core = chk.clauses[step_cref[i] as usize].core;
-        match step.kind {
-            StepKind::Add if core => core_lemmas += 1,
-            StepKind::Input if core => core_inputs += 1,
-            _ => {}
-        }
-    }
-    let mut final_clause = chk.clauses[step_cref[target] as usize].lits.clone();
-    final_clause.sort_unstable();
-    Ok(CheckOutcome {
-        steps: steps.len(),
-        inputs,
-        lemmas,
-        deletions,
-        core_lemmas,
-        core_inputs,
-        final_clause,
-    })
+    ProofSession::new().check(bytes)
 }
 
 #[cfg(test)]
@@ -872,6 +1055,27 @@ mod tests {
         let out = check_proof(w.bytes()).expect("pigeonhole refutation");
         assert!(out.final_clause.is_empty());
         assert!(out.core_lemmas >= 4);
+    }
+
+    #[test]
+    fn deactivated_reason_is_swapped_for_an_earlier_forcing_clause() {
+        // `11` is first forced by the unit lemma; the input `¬10 ∨ 11`
+        // forces it too, from `10`, which sits earlier on the trail.
+        let mut chk = Checker::default();
+        let unit = chk.new_clause(vec![10], true, false);
+        let lemma = chk.new_clause(vec![11], false, false);
+        let input = chk.new_clause(vec![-10, 11], true, false);
+        for cref in [unit, lemma, input] {
+            chk.attach(cref);
+        }
+        assert_eq!((chk.trail.clone(), chk.reason[11]), (vec![10, 11], lemma));
+        chk.deactivate(lemma);
+        assert_eq!((chk.trail.clone(), chk.reason[11]), (vec![10, 11], input));
+        assert!(!chk.dirty, "a swap keeps the trail and the queue");
+        // No other clause forces `11` now: the trail is cut from it.
+        chk.deactivate(input);
+        assert_eq!(chk.trail, vec![10]);
+        assert!(chk.dirty);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! clause database. The checker walks the proof backwards from the final
 //! lemma, RUP-checking only the lemmas that the refutation actually uses
 //! (proof *trimming*), and reports the used core so unsat cores can be
-//! shrunk and audited.
+//! shrunk and audited. A [`ProofSession`] keeps the checker alive across
+//! a growing stream, so an incremental solver's queries are certified
+//! with each lemma checked at most once.
 //!
 //! The format (see [`fmt`]) extends binary DRAT with an input tag so a
 //! single stream can interleave formula growth with derivation — which is
@@ -23,7 +25,7 @@ mod check;
 mod parse;
 mod writer;
 
-pub use check::{check_proof, CheckOutcome};
+pub use check::{check_proof, CheckOutcome, ProofSession};
 pub use parse::{parse_proof, Step, StepKind};
 pub use writer::ProofWriter;
 
@@ -57,6 +59,13 @@ pub enum ProofError {
         /// The lemma that failed the RUP check.
         clause: Vec<i32>,
     },
+    /// A [`ProofSession`] was handed a stream that does not begin with
+    /// the bytes its earlier calls consumed.
+    PrefixChanged {
+        /// First byte offset where the stream differs from the consumed
+        /// bytes (the stream's length if it is shorter).
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for ProofError {
@@ -76,6 +85,12 @@ impl std::fmt::Display for ProofError {
                 write!(
                     f,
                     "step {step}: lemma {clause:?} is not implied (RUP check failed)"
+                )
+            }
+            ProofError::PrefixChanged { offset } => {
+                write!(
+                    f,
+                    "stream changed at byte {offset}, inside the part an earlier check consumed"
                 )
             }
         }

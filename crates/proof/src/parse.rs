@@ -29,31 +29,39 @@ pub fn parse_proof(bytes: &[u8]) -> Result<Vec<Step>, ProofError> {
     let mut steps = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let kind = match bytes[pos] {
-            TAG_INPUT => StepKind::Input,
-            TAG_ADD => StepKind::Add,
-            TAG_DELETE => StepKind::Delete,
-            _ => {
-                return Err(ProofError::Malformed {
-                    offset: pos,
-                    detail: "unknown step tag",
-                })
-            }
-        };
-        pos += 1;
-        let mut lits = Vec::new();
-        loop {
-            let (next, lit) = decode_lit(bytes, pos)
-                .map_err(|(offset, detail)| ProofError::Malformed { offset, detail })?;
-            pos = next;
-            match lit {
-                Some(l) => lits.push(l),
-                None => break,
-            }
-        }
-        steps.push(Step { kind, lits });
+        let (step, next) = parse_step(bytes, pos)?;
+        steps.push(step);
+        pos = next;
     }
     Ok(steps)
+}
+
+/// Decodes the step starting at byte `pos` and returns it with the
+/// offset just past it. Error offsets index `bytes`, so a caller that
+/// parses a suffix in place gets offsets into the whole stream.
+pub(crate) fn parse_step(bytes: &[u8], pos: usize) -> Result<(Step, usize), ProofError> {
+    let kind = match bytes.get(pos) {
+        Some(&TAG_INPUT) => StepKind::Input,
+        Some(&TAG_ADD) => StepKind::Add,
+        Some(&TAG_DELETE) => StepKind::Delete,
+        _ => {
+            return Err(ProofError::Malformed {
+                offset: pos,
+                detail: "unknown step tag",
+            })
+        }
+    };
+    let mut pos = pos + 1;
+    let mut lits = Vec::new();
+    loop {
+        let (next, lit) = decode_lit(bytes, pos)
+            .map_err(|(offset, detail)| ProofError::Malformed { offset, detail })?;
+        pos = next;
+        match lit {
+            Some(l) => lits.push(l),
+            None => return Ok((Step { kind, lits }, pos)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hk_proof::ProofSession;
+
 use crate::ackermann::{Ackermann, AppInstance};
 use crate::analysis::{self, DeltaGroup, SimplifyOutcome};
 use crate::bitblast::BitBlaster;
@@ -170,6 +172,11 @@ struct Engine {
     proof_steps_snap: u64,
     /// Proof bytes emitted as of the end of the previous `check`.
     proof_bytes_snap: u64,
+    /// The checker session over `sat`'s proof stream: each Unsat
+    /// certifies against the whole stream, but only the steps logged
+    /// since the previous certification are parsed, and lemmas an
+    /// earlier certification verified are not checked again.
+    checker: ProofSession,
 }
 
 /// An SMT solver instance holding a set of assertions.
@@ -390,21 +397,27 @@ impl Solver {
         result
     }
 
-    /// Runs the independent checker over the proof stream, validates
-    /// that it concludes what this `Unsat` answer claims (`expected` =
-    /// the negated failed-assumption set, or empty for an unconditional
-    /// refutation; the empty clause is always acceptable as stronger),
-    /// and fills the proof-checking stats. Panics on a rejected or
-    /// off-target proof — the Unsat twin of failed model validation.
-    fn certify_unsat(stats: &mut SolverStats, proof_bytes: &[u8], expected: &[i32]) {
+    /// Runs the independent checker session over the proof stream,
+    /// validates that it concludes what this `Unsat` answer claims
+    /// (`expected` = the negated failed-assumption set, or empty for an
+    /// unconditional refutation; the empty clause is always acceptable
+    /// as stronger), and fills the proof-checking stats. Panics on a
+    /// rejected or off-target proof — the Unsat twin of failed model
+    /// validation.
+    fn certify_unsat(
+        stats: &mut SolverStats,
+        checker: &mut ProofSession,
+        proof_bytes: &[u8],
+        expected: &[i32],
+    ) {
         let check_start = Instant::now();
-        let out = hk_proof::check_proof(proof_bytes).unwrap_or_else(|e| {
+        let out = checker.check(proof_bytes).unwrap_or_else(|e| {
             panic!("certified-unsat check failed: independent checker rejected the proof: {e}")
         });
-        stats.proof_check_time = check_start.elapsed();
-        stats.proofs_checked = 1;
-        stats.proof_lemmas = out.lemmas as u64;
-        stats.proof_core_steps = out.core_lemmas as u64;
+        stats.proof_check_time += check_start.elapsed();
+        stats.proofs_checked += 1;
+        stats.proof_lemmas += out.lemmas as u64;
+        stats.proof_core_steps += out.core_lemmas as u64;
         let mut want = expected.to_vec();
         want.sort_unstable();
         want.dedup();
@@ -550,6 +563,7 @@ impl Solver {
                 snap: SatStats::default(),
                 proof_steps_snap: 0,
                 proof_bytes_snap: 0,
+                checker: ProofSession::new(),
             });
         }
         // 0. Word-level static analysis over the pending deltas. Each
@@ -693,9 +707,8 @@ impl Solver {
                             .sat
                             .proof()
                             .expect("certify implies proof logging")
-                            .bytes()
-                            .to_vec();
-                        Self::certify_unsat(&mut self.stats, &proof, &expected);
+                            .bytes();
+                        Self::certify_unsat(&mut self.stats, &mut engine.checker, proof, &expected);
                     }
                 }
                 SatResult::Unsat
@@ -809,7 +822,7 @@ impl Solver {
                         // An unassumed refutation always concludes the
                         // empty clause.
                         let proof = sat.proof().expect("certify implies proof logging").bytes();
-                        Self::certify_unsat(&mut self.stats, proof, &[]);
+                        Self::certify_unsat(&mut self.stats, &mut ProofSession::new(), proof, &[]);
                     }
                 }
                 SatResult::Unsat

@@ -13,11 +13,14 @@
 //!   GC, and inprocessing exercise every DRAT `delete` path; the
 //!   checker must accept 100% of the generated proofs, and corrupting a
 //!   single deletion record must be rejected.
+//! * **Session agreement**: every Unsat of an incremental session is
+//!   certified through one `hk_proof::ProofSession` kept across the
+//!   session, and must match a fresh `check_proof` of the same bytes.
 
 mod common;
 
 use common::XorShift64;
-use hk_proof::{check_proof, parse_proof, ProofWriter, StepKind};
+use hk_proof::{check_proof, parse_proof, ProofSession, ProofWriter, StepKind};
 use hk_smt::sat::SatOutcome;
 use hk_smt::{ReduceStrategy, SatConfig, SatSolver};
 
@@ -46,6 +49,22 @@ fn model_satisfies(s: &SatSolver, clauses: &[Vec<i32>]) -> bool {
         c.iter()
             .any(|&l| s.model_value(l.unsigned_abs()) == (l > 0))
     })
+}
+
+/// Certifies the stream logged so far through `session` and through a
+/// fresh `check_proof` of the same bytes: both must accept, with the same
+/// final clause, which is returned.
+fn certify_in_session(session: &mut ProofSession, s: &SatSolver, case: u64) -> Vec<i32> {
+    let bytes = s.proof().expect("proof logging was started").bytes();
+    let fresh = check_proof(bytes).unwrap_or_else(|e| panic!("case {case}: proof rejected: {e}"));
+    let out = session.check(bytes).unwrap_or_else(|e| {
+        panic!("case {case}: session rejected a proof the fresh checker accepts: {e}")
+    });
+    assert_eq!(
+        out.final_clause, fresh.final_clause,
+        "case {case}: session and fresh check conclude differently"
+    );
+    out.final_clause
 }
 
 /// Solves `clauses` oneshot under `config`, certifying any Unsat.
@@ -84,6 +103,7 @@ fn solve_oneshot(clauses: &[Vec<i32>], config: SatConfig, case: u64) -> SatOutco
 fn solve_incremental(clauses: &[Vec<i32>], nvars: u64, config: SatConfig, case: u64) -> SatOutcome {
     let mut s = SatSolver::with_config(config);
     s.start_proof();
+    let mut session = ProofSession::new();
     let act0 = nvars as i32 + 1;
     let act1 = nvars as i32 + 2;
     // Prelude scope: half the instance, solved and retired.
@@ -94,7 +114,9 @@ fn solve_incremental(clauses: &[Vec<i32>], nvars: u64, config: SatConfig, case: 
             break;
         }
     }
-    s.solve_with_assumptions(&[act0]);
+    if s.solve_with_assumptions(&[act0]) == SatOutcome::Unsat {
+        certify_in_session(&mut session, &s, case);
+    }
     s.add_clause(&[-act0]);
     s.simplify();
     // Scope under test: the full instance under a fresh activation var.
@@ -112,13 +134,10 @@ fn solve_incremental(clauses: &[Vec<i32>], nvars: u64, config: SatConfig, case: 
             "case {case}: incremental model does not satisfy the instance"
         ),
         SatOutcome::Unsat => {
-            let proof = s.proof().expect("proof logging was started");
-            let chk = check_proof(proof.bytes())
-                .unwrap_or_else(|e| panic!("case {case}: incremental proof rejected: {e}"));
+            let final_clause = certify_in_session(&mut session, &s, case);
             assert!(
-                chk.final_clause.is_empty() || chk.final_clause == vec![-act1],
-                "case {case}: final clause {:?} proves neither [] nor [{}]",
-                chk.final_clause,
+                final_clause.is_empty() || final_clause == vec![-act1],
+                "case {case}: final clause {final_clause:?} proves neither [] nor [{}]",
                 -act1
             );
         }
@@ -181,7 +200,8 @@ fn cdcl_config_matrix_agrees_on_random_cnf() {
 /// One randomized incremental session: several scopes of random CNF,
 /// each solved under its activation literal and then retired with scope
 /// GC, with DB reduction and inprocessing forced on tiny schedules.
-/// Returns the solver (for stats and the accumulated proof stream).
+/// Every Unsat is certified in one checker session (and fresh). Returns
+/// the solver (for stats and the accumulated proof stream).
 fn random_session(seed: u64) -> SatSolver {
     let mut rng = XorShift64::new(seed);
     let mut s = SatSolver::with_config(SatConfig {
@@ -190,6 +210,7 @@ fn random_session(seed: u64) -> SatSolver {
         ..SatConfig::default()
     });
     s.start_proof();
+    let mut session = ProofSession::new();
     let nvars = 20 + rng.below(15);
     let scopes = 3 + rng.below(3);
     for scope in 0..scopes {
@@ -202,9 +223,11 @@ fn random_session(seed: u64) -> SatSolver {
                 return s;
             }
         }
-        let out = s.solve_with_assumptions(&[act]);
-        if out == SatOutcome::Unsat && !s.is_ok() {
-            return s; // globally unsat: the stream ends in the empty clause
+        if s.solve_with_assumptions(&[act]) == SatOutcome::Unsat {
+            certify_in_session(&mut session, &s, seed);
+            if !s.is_ok() {
+                return s; // globally unsat: the stream ends in the empty clause
+            }
         }
         s.add_clause(&[-act]);
         s.simplify();

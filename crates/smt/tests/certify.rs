@@ -2,7 +2,7 @@
 //! and the independent checker in `hk-proof` must accept every Unsat,
 //! in oneshot and incremental (assumption-driven) configurations alike.
 
-use hk_proof::check_proof;
+use hk_proof::{check_proof, CheckOutcome, ProofSession};
 use hk_smt::sat::{SatOutcome, SatSolver};
 
 /// Checks the solver's proof stream and asserts the refutation target.
@@ -10,7 +10,7 @@ use hk_smt::sat::{SatOutcome, SatSolver};
 /// for an unconditional Unsat, the negated failed-assumption set for an
 /// assumption-driven one (the checker may also conclude the stronger
 /// empty clause).
-fn assert_proof_checks(s: &SatSolver, expected: &[i32]) -> hk_proof::CheckOutcome {
+fn assert_proof_checks(s: &SatSolver, expected: &[i32]) -> CheckOutcome {
     let proof = s.proof().expect("proof logging was started");
     let out = check_proof(proof.bytes())
         .unwrap_or_else(|e| panic!("proof rejected by independent checker: {e}"));
@@ -24,6 +24,24 @@ fn assert_proof_checks(s: &SatSolver, expected: &[i32]) -> hk_proof::CheckOutcom
         want
     );
     out
+}
+
+/// Like [`assert_proof_checks`], and also certifies the stream through
+/// `session`, the checker the incremental solver keeps: it must reach
+/// the fresh checker's verdict and final clause. Returns the fresh
+/// (whole-stream) outcome.
+fn assert_session_agrees(
+    session: &mut ProofSession,
+    s: &SatSolver,
+    expected: &[i32],
+) -> CheckOutcome {
+    let fresh = assert_proof_checks(s, expected);
+    let proof = s.proof().expect("proof logging was started");
+    let out = session
+        .check(proof.bytes())
+        .unwrap_or_else(|e| panic!("session rejected a proof the fresh checker accepts: {e}"));
+    assert_eq!(out.final_clause, fresh.final_clause);
+    fresh
 }
 
 fn pigeonhole(n: i32, m: i32) -> Vec<Vec<i32>> {
@@ -94,13 +112,15 @@ fn incremental_session_with_deletions_is_certified_at_each_unsat() {
     // Activation-literal driven session over a pigeonhole instance large
     // enough to trigger learnt-clause database reductions, interleaving
     // Sat and Unsat calls. Each Unsat's proof must check over the whole
-    // stream logged so far — the exact shape the certified solver uses.
+    // stream logged so far — the exact shape the certified solver uses —
+    // both fresh and through one session that sees every Unsat.
     let n = 6i32;
     let m = 5i32;
     let act = n * m + 1;
     let v = |i: i32, j: i32| i * m + j + 1;
     let mut s = SatSolver::new();
     s.start_proof();
+    let mut session = ProofSession::new();
     for i in 0..n {
         let mut c: Vec<i32> = (0..m).map(|j| v(i, j)).collect();
         c.push(-act);
@@ -115,7 +135,7 @@ fn incremental_session_with_deletions_is_certified_at_each_unsat() {
     }
     assert_eq!(s.solve_with_assumptions(&[act]), SatOutcome::Unsat);
     let expected: Vec<i32> = s.failed_assumptions().iter().map(|&l| -l).collect();
-    let first = assert_proof_checks(&s, &expected);
+    let first = assert_session_agrees(&mut session, &s, &expected);
 
     // A Sat interlude (deactivated scope) must not corrupt the stream.
     assert_eq!(s.solve_with_assumptions(&[-act]), SatOutcome::Sat);
@@ -124,14 +144,14 @@ fn incremental_session_with_deletions_is_certified_at_each_unsat() {
     // now holds two concluding lemmas, and the last one is the target.
     assert_eq!(s.solve_with_assumptions(&[act]), SatOutcome::Unsat);
     let expected: Vec<i32> = s.failed_assumptions().iter().map(|&l| -l).collect();
-    let second = assert_proof_checks(&s, &expected);
+    let second = assert_session_agrees(&mut session, &s, &expected);
     assert!(second.steps >= first.steps);
 
     // Permanently close the scope and pin the contradiction: the stream
     // ends in the empty clause.
     s.add_clause(&[act]);
     assert_eq!(s.solve(), SatOutcome::Unsat);
-    let last = assert_proof_checks(&s, &[]);
+    let last = assert_session_agrees(&mut session, &s, &[]);
     assert!(last.final_clause.is_empty());
 }
 

@@ -320,6 +320,19 @@ fn repeated_probe_batches_stay_sound_and_certified() {
     assert_eq!(s.totals.certified_unsat, 20);
     assert_eq!(s.totals.proofs_checked, 20);
     assert!(s.totals.proof_steps > 0);
+    // Session-length scaling, by count: the checker parses each lemma of
+    // the session stream once and RUP-checks each at most once, so the
+    // summed per-call deltas obey core <= lemmas <= steps. Re-checking
+    // the whole stream at every Unsat would count the same lemmas again
+    // at each of the 20 probes.
+    let t = &s.totals;
+    assert!(
+        t.proof_core_steps <= t.proof_lemmas && t.proof_lemmas <= t.proof_steps,
+        "core {} <= lemmas {} <= steps {} violated",
+        t.proof_core_steps,
+        t.proof_lemmas,
+        t.proof_steps
+    );
 }
 
 /// Asserts an n-pigeons / m-holes instance over fresh Bool variables —
