@@ -37,16 +37,6 @@
 //! scaling column measures overhead honestly rather than advertising a
 //! speedup the machine cannot produce.
 //!
-//! With `--simplify` it measures the word-level static-analysis pass
-//! (known-bits/interval abstract interpretation, fact-directed
-//! rewriting, cone-of-influence reduction): the pipeline runs four
-//! certified columns — {oneshot, incremental} x {simplify off, on} —
-//! and per-handler clause counts, rewrite/discharge counters, and
-//! timings go to `BENCH_PR9.json`. Hard failures: a Sat<->Unsat flip
-//! between columns, an uncertified Unsat, no aggregate oneshot clause
-//! reduction, and (full runs) a reduction below 25% or zero statically
-//! discharged queries.
-//!
 //! With `--bmc` it benchmarks the bounded-model-checking phase instead
 //! of the handler proofs: the full `hk-bmc` harness registry (page
 //! walker, TLB coherence, IOMMU/DMA confinement, fs-log crash safety)
@@ -65,14 +55,12 @@
 //! cargo run --release -p hk-bench --bin bench_incremental
 //! cargo run --release -p hk-bench --bin bench_incremental -- --certify
 //! cargo run --release -p hk-bench --bin bench_incremental -- --parallel
-//! cargo run --release -p hk-bench --bin bench_incremental -- --simplify
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --deep
 //! # CI smoke: tiny handler set, report to target/, no repo-root write
 //! cargo run --release -p hk-bench --bin bench_incremental -- --smoke
 //! cargo run --release -p hk-bench --bin bench_incremental -- --smoke --certify
 //! cargo run --release -p hk-bench --bin bench_incremental -- --smoke --parallel --threads 1,2
-//! cargo run --release -p hk-bench --bin bench_incremental -- --smoke --simplify
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --smoke --threads 1,2
 //! ```
 
@@ -126,20 +114,13 @@ const MAX_SOLVE_MS: u64 = 600_000;
 /// The feature-flag header every benchmark artifact carries, so a
 /// reader never has to infer from the filename which subsystems were
 /// active in the run that produced it.
-fn features_json(
-    incremental: bool,
-    parallel: bool,
-    certify: bool,
-    bmc: bool,
-    simplify: bool,
-) -> String {
+fn features_json(incremental: bool, parallel: bool, certify: bool, bmc: bool) -> String {
     format!(
         "\"features\": {{\"incremental\": {incremental}, \"parallel\": {parallel}, \
-         \"certify\": {certify}, \"bmc\": {bmc}, \"simplify\": {simplify}}}"
+         \"certify\": {certify}, \"bmc\": {bmc}}}"
     )
 }
 
-#[allow(clippy::too_many_arguments)] // flat knob list mirrors SolverConfig
 fn run(
     image: &KernelImage,
     params: KernelParams,
@@ -148,7 +129,6 @@ fn run(
     proof_log: bool,
     certify: bool,
     threads: usize,
-    simplify: bool,
 ) -> VerifyReport {
     let mut config = VerifyConfig {
         params,
@@ -159,7 +139,6 @@ fn run(
     config.solver.incremental = incremental;
     config.solver.proof_log = proof_log;
     config.solver.certify = certify;
-    config.solver.simplify = simplify;
     config.solver.sat.max_conflicts = Some(MAX_CONFLICTS);
     config.solver.sat.max_solve_ms = Some(MAX_SOLVE_MS);
     verify_image(image, &config)
@@ -212,11 +191,11 @@ fn run_certify_bench(
         "proof-machinery benchmark over {} handler(s), cold cache\n",
         handlers.len()
     );
-    let baseline = run(image, params, handlers, true, false, false, 1, false);
-    let disabled = run(image, params, handlers, true, false, false, 1, false);
-    let logged = run(image, params, handlers, true, true, false, 1, false);
-    let certified = run(image, params, handlers, true, false, true, 1, false);
-    let certified_oneshot = run(image, params, handlers, false, false, true, 1, false);
+    let baseline = run(image, params, handlers, true, false, false, 1);
+    let disabled = run(image, params, handlers, true, false, false, 1);
+    let logged = run(image, params, handlers, true, true, false, 1);
+    let certified = run(image, params, handlers, true, false, true, 1);
+    let certified_oneshot = run(image, params, handlers, false, false, true, 1);
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
         "handler", "base", "disabled", "log", "certify", "1shot cert", "log %", "cert %"
@@ -289,7 +268,7 @@ fn run_certify_bench(
         bw = ms(baseline.total_time),
         cw = ms(certified.total_time),
         ow = ms(certified_oneshot.total_time),
-        features = features_json(true, false, true, false, false)
+        features = features_json(true, false, true, false)
     ));
     println!(
         "\naggregate total: {b_tot:.1}ms baseline, {d_tot:.1}ms disabled repeat \
@@ -355,7 +334,7 @@ fn run_parallel_bench(
     }
     let mut rows: Vec<(usize, VerifyReport)> = Vec::new();
     for &t in thread_counts {
-        let r = run(image, params, handlers, true, false, true, t, false);
+        let r = run(image, params, handlers, true, false, true, t);
         println!(
             "threads={t}: wall {:.1}ms, handler-sum {:.1}ms",
             ms(r.total_time),
@@ -445,7 +424,7 @@ fn run_parallel_bench(
          \"incremental\": true, \"cores_detected\": {cores}, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
         handlers.len(),
-        features_json(true, true, true, false, false)
+        features_json(true, true, true, false)
     ));
     std::fs::write(out_path, &json).expect("write benchmark artifact");
     let best = rows
@@ -458,147 +437,6 @@ fn run_parallel_bench(
         best.1, best.0, base.0
     );
     println!("wrote {}", out_path.display());
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The `--simplify` axis: the word-level static-analysis pass on vs
-/// off, across both pipeline shapes, everything certified (so every
-/// Unsat — including statically discharged queries, which certification
-/// re-proves through the SAT path — carries a checked DRAT proof).
-/// Hard failures: any Sat<->Unsat flip between columns, an uncertified
-/// Unsat, simplify-on not reducing aggregate oneshot clauses, and (full
-/// runs) missing the >=25% oneshot clause-reduction floor or failing to
-/// statically discharge a single query.
-fn run_simplify_bench(
-    image: &KernelImage,
-    params: KernelParams,
-    handlers: &[Sysno],
-    out_path: &std::path::Path,
-    smoke: bool,
-) {
-    println!(
-        "word-level simplification benchmark over {} handler(s), certified, cold cache\n",
-        handlers.len()
-    );
-    let os_off = run(image, params, handlers, false, false, true, 1, false);
-    let os_on = run(image, params, handlers, false, false, true, 1, true);
-    let inc_off = run(image, params, handlers, true, false, true, 1, false);
-    let inc_on = run(image, params, handlers, true, false, true, 1, true);
-    let mut failed = false;
-    println!(
-        "{:<18} {:>12} {:>12} {:>8} {:>12} {:>12} {:>9} {:>6}",
-        "handler", "1shot off", "1shot on", "clause%", "incr off", "incr on", "rewrites", "disch"
-    );
-    let mut json = String::from("{\n  \"handlers\": {\n");
-    for i in 0..os_off.handlers.len() {
-        let (oo, on, io, inn) = (
-            &os_off.handlers[i],
-            &os_on.handlers[i],
-            &inc_off.handlers[i],
-            &inc_on.handlers[i],
-        );
-        check_verdicts(oo, on, "simplify (oneshot)");
-        check_verdicts(io, inn, "simplify (incremental)");
-        for h in [oo, on, io, inn] {
-            if h.phases.certified_unsat != h.phases.unsat_queries {
-                eprintln!(
-                    "FAIL: {} certified only {}/{} unsat answers",
-                    h.sysno.func_name(),
-                    h.phases.certified_unsat,
-                    h.phases.unsat_queries
-                );
-                failed = true;
-            }
-        }
-        let clause_pct = pct(on.cnf_clauses as f64, oo.cnf_clauses.max(1) as f64);
-        println!(
-            "{:<18} {:>10.1}ms {:>10.1}ms {:>7.1}% {:>10.1}ms {:>10.1}ms {:>9} {:>6}",
-            oo.sysno.func_name(),
-            ms(oo.time),
-            ms(on.time),
-            clause_pct,
-            ms(io.time),
-            ms(inn.time),
-            on.phases.simplify_rewrites + inn.phases.simplify_rewrites,
-            on.phases.statically_discharged + inn.phases.statically_discharged
-        );
-        json.push_str(&format!(
-            "    \"{}\": {{\"oneshot_off\": {}, \"oneshot_on\": {}, \"incremental_off\": {}, \
-             \"incremental_on\": {}, \"oneshot_clause_delta_pct\": {clause_pct:.3}}}{}\n",
-            oo.sysno.func_name(),
-            oo.to_json(),
-            on.to_json(),
-            io.to_json(),
-            inn.to_json(),
-            if i + 1 < os_off.handlers.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    let csum = |r: &VerifyReport| -> u64 { r.handlers.iter().map(|h| h.cnf_clauses as u64).sum() };
-    let (oo_cl, on_cl) = (csum(&os_off), csum(&os_on));
-    let (io_cl, in_cl) = (csum(&inc_off), csum(&inc_on));
-    let clause_reduction_pct = (1.0 - on_cl as f64 / oo_cl.max(1) as f64) * 100.0;
-    let mut on_totals = os_on.totals();
-    on_totals.merge(&inc_on.totals());
-    let discharged = on_totals.statically_discharged;
-    let rewrites = on_totals.simplify_rewrites;
-    let coi = os_on.totals().simplify_coi_dropped;
-    json.push_str(&format!(
-        "  }},\n  \"aggregate\": {{\n    \"oneshot_off_clauses\": {oo_cl},\n    \
-         \"oneshot_on_clauses\": {on_cl},\n    \"oneshot_clause_reduction_pct\": \
-         {clause_reduction_pct:.3},\n    \"incremental_off_clauses\": {io_cl},\n    \
-         \"incremental_on_clauses\": {in_cl},\n    \"oneshot_off_total_ms\": {:.3},\n    \
-         \"oneshot_on_total_ms\": {:.3},\n    \"incremental_off_total_ms\": {:.3},\n    \
-         \"incremental_on_total_ms\": {:.3},\n    \"oneshot_off_wall_ms\": {:.3},\n    \
-         \"oneshot_on_wall_ms\": {:.3},\n    \"incremental_off_wall_ms\": {:.3},\n    \
-         \"incremental_on_wall_ms\": {:.3},\n    \"simplify_on_phases\": {}\n  }},\n  \
-         \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"certify\": true, \
-         \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
-        handler_sum_ms(&os_off),
-        handler_sum_ms(&os_on),
-        handler_sum_ms(&inc_off),
-        handler_sum_ms(&inc_on),
-        ms(os_off.total_time),
-        ms(os_on.total_time),
-        ms(inc_off.total_time),
-        ms(inc_on.total_time),
-        on_totals.to_json(),
-        handlers.len(),
-        features_json(true, false, true, false, true)
-    ));
-    println!(
-        "\naggregate oneshot clauses: {oo_cl} off vs {on_cl} on \
-         ({clause_reduction_pct:.1}% reduction)"
-    );
-    println!("aggregate incremental clauses: {io_cl} off vs {in_cl} on");
-    println!(
-        "{rewrites} rewrites, {coi} conjuncts COI-dropped, {discharged} queries statically discharged"
-    );
-    std::fs::write(out_path, &json).expect("write benchmark artifact");
-    println!("\nwrote {}", out_path.display());
-    if on_cl >= oo_cl {
-        eprintln!(
-            "FAIL: simplify-on did not reduce aggregate oneshot clauses ({on_cl} vs {oo_cl})"
-        );
-        failed = true;
-    }
-    if !smoke {
-        if clause_reduction_pct < 25.0 {
-            eprintln!(
-                "FAIL: oneshot clause reduction {clause_reduction_pct:.1}% below the 25% floor"
-            );
-            failed = true;
-        }
-        if discharged == 0 {
-            eprintln!("FAIL: no query was statically discharged");
-            failed = true;
-        }
-    }
     if failed {
         std::process::exit(1);
     }
@@ -734,7 +572,7 @@ fn run_bmc_bench(
             .map(|(_, r)| b_wall / ms(r.total_time).max(1e-6))
             .fold(0.0f64, f64::max),
         tier.name(),
-        features_json(true, true, true, true, false)
+        features_json(true, true, true, true)
     ));
     std::fs::write(out_path, &json).expect("write benchmark artifact");
     println!("\nwrote {}", out_path.display());
@@ -749,7 +587,6 @@ fn main() {
     let certify_mode = args.iter().any(|a| a == "--certify");
     let parallel_mode = args.iter().any(|a| a == "--parallel");
     let bmc_mode = args.iter().any(|a| a == "--bmc");
-    let simplify_mode = args.iter().any(|a| a == "--simplify");
     let deep = args.iter().any(|a| a == "--deep");
     // --threads 1,2,4 overrides the parallel/bmc-mode scaling ladder.
     let thread_counts: Vec<usize> = args
@@ -803,22 +640,10 @@ fn main() {
     let handlers: &[Sysno] = match &only {
         Some(v) => v,
         None if smoke => &SMOKE_HANDLERS,
-        // The simplify comparison runs four certified columns, so it
-        // uses the same budget-friendly subset as the certify axis.
-        None if certify_mode || simplify_mode => &CERTIFY_HANDLERS,
+        None if certify_mode => &CERTIFY_HANDLERS,
         None => &FIG7_HANDLERS,
     };
     let image = KernelImage::build(params).expect("kernel build");
-    if simplify_mode {
-        let out = if smoke || only.is_some() {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/BENCH_PR9_smoke.json")
-        } else {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR9.json")
-        };
-        run_simplify_bench(&image, params, handlers, &out, smoke);
-        return;
-    }
     if parallel_mode {
         let out = if smoke || only.is_some() {
             std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -845,8 +670,8 @@ fn main() {
     );
     // Incremental first: it is the fast side, so progress shows early
     // and a hung baseline handler is obvious from the trace.
-    let incremental = run(&image, params, handlers, true, false, false, 1, false);
-    let oneshot = run(&image, params, handlers, false, false, false, 1, false);
+    let incremental = run(&image, params, handlers, true, false, false, 1);
+    let oneshot = run(&image, params, handlers, false, false, false, 1);
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>12} {:>9}",
         "handler", "1shot enc", "incr enc", "1shot slv", "incr slv", "enc x"
@@ -902,7 +727,7 @@ fn main() {
         handlers.len(),
         ow = ms(oneshot.total_time),
         nw = ms(incremental.total_time),
-        features = features_json(true, false, false, false, false)
+        features = features_json(true, false, false, false)
     ));
     println!(
         "\naggregate encode: {o_enc:.1}ms oneshot vs {n_enc:.1}ms incremental ({speedup:.2}x)"

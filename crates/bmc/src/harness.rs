@@ -247,7 +247,7 @@ impl Prover {
         let result = self.solver.check(&mut self.ctx);
         self.solver.pop();
         match result {
-            SatResult::Unsat | SatResult::StaticallyDischarged => {}
+            SatResult::Unsat => {}
             SatResult::Sat(model) => {
                 self.outcome = BmcOutcome::Counterexample(render(&self.ctx, &model));
             }

@@ -206,16 +206,6 @@ impl VerifyReport {
                 t.races, t.race_workers, t.clauses_imported, t.cubes_solved
             );
         }
-        if t.simplify_rewrites > 0 || t.statically_discharged > 0 {
-            let _ = writeln!(
-                out,
-                "simplify: {} rewrites, {} conjuncts COI-dropped, {} queries statically discharged ({:.2}s)",
-                t.simplify_rewrites,
-                t.simplify_coi_dropped,
-                t.statically_discharged,
-                t.simplify_time.as_secs_f64()
-            );
-        }
         out
     }
 
@@ -238,7 +228,7 @@ impl VerifyReport {
     ///               "cache_hits": 120, "cache_misses": 8, "conflicts": 3104, ...,
     ///               "unsat_queries": 96, "certified_unsat": 96, ...,
     ///               "race_wins": { "base": 1, "flip-reduce": 0, ... }, ...,
-    ///               "statically_discharged": 0 },
+    ///               "cubes_solved": 0 },
     ///   "handlers": [
     ///     { "name": "sys_dup", "trap": 23, "verdict": "verified", "detail": null,
     ///       "paths": 4, "side_checks": 9, "cnf_clauses": 1042, "conflicts": 3,

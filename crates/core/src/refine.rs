@@ -267,7 +267,7 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
                     phases,
                 };
             }
-            SatResult::Unsat | SatResult::StaticallyDischarged => {}
+            SatResult::Unsat => {}
         }
         solver.pop();
     }
@@ -349,7 +349,7 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
         total_clauses = total_clauses.max(solver.stats.cnf_clauses);
         total_conflicts += solver.stats.conflicts;
         match result {
-            SatResult::Unsat | SatResult::StaticallyDischarged => {}
+            SatResult::Unsat => {}
             SatResult::Unknown => {
                 outcome = HandlerOutcome::Unknown;
                 break;

@@ -92,7 +92,7 @@ pub fn check_transition_with(
     solver.assert(&mut ctx, p_pre);
     solver.assert(&mut ctx, violated_cond);
     let (outcome, violated) = match solver.check(&mut ctx) {
-        SatResult::Unsat | SatResult::StaticallyDischarged => (PropertyOutcome::Holds, Vec::new()),
+        SatResult::Unsat => (PropertyOutcome::Holds, Vec::new()),
         SatResult::Unknown => (PropertyOutcome::Unknown, Vec::new()),
         SatResult::Sat(model) => {
             let violated: Vec<String> = probes
@@ -133,7 +133,7 @@ pub fn check_isolation(
     solver.assert(&mut ctx, assumption);
     solver.assert(&mut ctx, bad);
     let outcome = match solver.check(&mut ctx) {
-        SatResult::Unsat | SatResult::StaticallyDischarged => PropertyOutcome::Holds,
+        SatResult::Unsat => PropertyOutcome::Holds,
         SatResult::Unknown => PropertyOutcome::Unknown,
         SatResult::Sat(model) => {
             let mut ctx2 = Ctx::new();

@@ -26,11 +26,7 @@
 //! * [`cache`] — a content-addressed verification-condition cache so
 //!   repeated `verify_all` runs reuse verdicts instead of re-solving;
 //! * [`stats`] — the one list of solver counters, and the structs,
-//!   merges and JSON generated from it;
-//! * [`analysis`] — word-level static analysis (known-bits + interval
-//!   abstract interpretation, fact-directed rewriting, cone-of-influence
-//!   reduction) that shrinks or outright discharges queries before
-//!   bit-blasting.
+//!   merges and JSON generated from it.
 //!
 //! # Examples
 //!
@@ -55,7 +51,6 @@
 #![deny(clippy::needless_pass_by_value)]
 
 pub mod ackermann;
-pub mod analysis;
 pub mod bitblast;
 pub mod cache;
 pub mod cnf;
@@ -67,7 +62,6 @@ pub mod solver;
 pub mod stats;
 pub mod term;
 
-pub use analysis::{SimplifyOutcome, SimplifyStats};
 pub use cache::{CacheStats, CachedVerdict, QueryCache, QueryKey};
 pub use model::Model;
 pub use parallel::{CoreBudget, ParallelConfig, STRATEGY_NAMES};

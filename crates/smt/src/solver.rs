@@ -36,7 +36,6 @@ use std::time::Instant;
 use hk_proof::ProofSession;
 
 use crate::ackermann::{Ackermann, AppInstance};
-use crate::analysis::{self, DeltaGroup, SimplifyOutcome};
 use crate::bitblast::BitBlaster;
 use crate::cache::{self, CachedVerdict, QueryCache};
 use crate::cnf::Lit;
@@ -84,13 +83,6 @@ pub struct SolverConfig {
     /// threshold. Inert unless a shared [`crate::parallel::CoreBudget`]
     /// is installed (the driver does this when it has spare threads).
     pub parallel: ParallelConfig,
-    /// Word-level static analysis before bit-blasting: known-bits +
-    /// interval abstract interpretation, fact-directed rewriting, and
-    /// (oneshot only) cone-of-influence reduction. Can return
-    /// [`SatResult::StaticallyDischarged`] when the abstraction alone
-    /// proves Unsat; under `certify` such queries are re-run through the
-    /// SAT path so every shipped Unsat stays DRAT-certified.
-    pub simplify: bool,
 }
 
 impl Default for SolverConfig {
@@ -105,7 +97,6 @@ impl Default for SolverConfig {
             proof_log: false,
             certify: false,
             parallel: ParallelConfig::default(),
-            simplify: false,
         }
     }
 }
@@ -119,19 +110,12 @@ pub enum SatResult {
     Sat(Box<Model>),
     /// The conflict budget was exhausted.
     Unknown,
-    /// Unsatisfiable, proven by the word-level static analysis alone —
-    /// no SAT search ran ([`SolverConfig::simplify`]). Never returned
-    /// under `certify`: certified runs re-derive the verdict through
-    /// the SAT path so a DRAT proof exists.
-    StaticallyDischarged,
 }
 
 impl SatResult {
-    /// True if the result is `Unsat` (including a static discharge,
-    /// which is an Unsat answer with an abstract-domain argument in
-    /// place of a SAT refutation).
+    /// True if the result is `Unsat`.
     pub fn is_unsat(&self) -> bool {
-        matches!(self, SatResult::Unsat | SatResult::StaticallyDischarged)
+        matches!(self, SatResult::Unsat)
     }
 
     /// True if the result is `Sat`.
@@ -350,8 +334,6 @@ impl Solver {
         }
         let mut result = if self.config.incremental {
             self.check_incremental(ctx, &active)
-        } else if self.config.simplify {
-            self.check_oneshot_simplified(ctx, &active)
         } else {
             self.check_oneshot(ctx, &active)
         };
@@ -373,23 +355,14 @@ impl Solver {
                     }
                 } else {
                     self.config.sat.max_conflicts = Some(boosted);
-                    result = if self.config.simplify {
-                        self.check_oneshot_simplified(ctx, &active)
-                    } else {
-                        self.check_oneshot(ctx, &active)
-                    };
+                    result = self.check_oneshot(ctx, &active);
                     self.config.sat.max_conflicts = Some(base);
                 }
             }
         }
         if let (Some(c), Some(fp)) = (cache_cfg.as_ref(), fp.as_ref()) {
             match &result {
-                // A static discharge is an Unsat verdict for the
-                // original assertion set (the fingerprint is computed on
-                // the originals, never the simplified form).
-                SatResult::Unsat | SatResult::StaticallyDischarged => {
-                    c.insert(fp.key, CachedVerdict::Unsat);
-                }
+                SatResult::Unsat => c.insert(fp.key, CachedVerdict::Unsat),
                 SatResult::Sat(m) => c.insert(fp.key, CachedVerdict::Sat(cache::dehydrate(fp, m))),
                 SatResult::Unknown => {}
             }
@@ -566,66 +539,20 @@ impl Solver {
                 checker: ProofSession::new(),
             });
         }
-        // 0. Word-level static analysis over the pending deltas. Each
-        // not-yet-encoded assertion is rewritten under facts from its own
-        // and outer levels only — outer scopes outlive inner ones, so
-        // those facts are active whenever the rewritten clause's
-        // activation literal is assumed. A discharge returns early with
-        // the watermarks untouched: the pendings stay pending and are
-        // encoded verbatim by a later (certified or analysis-off) check.
-        let mut simplified_pending: Option<Vec<Vec<TermId>>> = None;
-        if self.config.simplify {
-            let encoded_base = self.engine.as_ref().map_or(0, |e| e.encoded_base);
-            let mut groups = vec![DeltaGroup {
-                level: 0,
-                encoded: self.assertions[..encoded_base].to_vec(),
-                pending: self.assertions[encoded_base..].to_vec(),
-            }];
-            for (si, s) in self.scopes.iter().enumerate() {
-                groups.push(DeltaGroup {
-                    level: (si + 1) as u32,
-                    encoded: s.assertions[..s.encoded].to_vec(),
-                    pending: s.assertions[s.encoded..].to_vec(),
-                });
-            }
-            let simp_start = Instant::now();
-            let out = analysis::simplify_deltas(ctx, &groups);
-            self.stats.simplify_time += simp_start.elapsed();
-            Self::absorb_simplify(&mut self.stats, &out.stats);
-            if out.discharged {
-                self.stats.statically_discharged += 1;
-                if !self.config.certify {
-                    return SatResult::StaticallyDischarged;
-                }
-                // Certify: fall through and solve the original pendings
-                // so the Unsat carries a checked proof.
-            } else {
-                simplified_pending = Some(out.rewritten);
-            }
-        }
         let encode_start = Instant::now();
         // 1. Ackermann-rewrite the assertions not yet encoded.
         let engine = self.engine.as_mut().expect("engine just installed");
-        let base_new: Vec<TermId> = match &simplified_pending {
-            Some(groups) => groups[0].clone(),
-            None => self.assertions[engine.encoded_base..].to_vec(),
-        };
-        engine.encoded_base = self.assertions.len();
-        let rewritten_base: Vec<TermId> = base_new
-            .into_iter()
-            .map(|t| engine.ack.rewrite(ctx, t))
+        let rewritten_base: Vec<TermId> = self.assertions[engine.encoded_base..]
+            .iter()
+            .map(|&t| engine.ack.rewrite(ctx, t))
             .collect();
+        engine.encoded_base = self.assertions.len();
         let mut rewritten_scoped: Vec<(usize, TermId)> = Vec::new();
-        for si in 0..self.scopes.len() {
-            let pending: Vec<TermId> = match &simplified_pending {
-                Some(groups) => groups[si + 1].clone(),
-                None => self.scopes[si].assertions[self.scopes[si].encoded..].to_vec(),
-            };
-            self.scopes[si].encoded = self.scopes[si].assertions.len();
-            for t in pending {
-                let r = engine.ack.rewrite(ctx, t);
-                rewritten_scoped.push((si, r));
+        for (si, s) in self.scopes.iter_mut().enumerate() {
+            for &t in &s.assertions[s.encoded..] {
+                rewritten_scoped.push((si, engine.ack.rewrite(ctx, t)));
             }
+            s.encoded = s.assertions.len();
         }
         // Congruence constraints are consequences of the UF semantics
         // alone, so they are always asserted at the base level.
@@ -840,80 +767,6 @@ impl Solver {
                     }
                 }
                 SatResult::Sat(Box::new(model))
-            }
-        }
-    }
-
-    /// Folds a static-analysis run's counters into the per-call stats.
-    fn absorb_simplify(stats: &mut SolverStats, st: &analysis::SimplifyStats) {
-        stats.simplify_terms += st.terms_visited;
-        stats.simplify_rewrites += st.rewrites;
-        stats.simplify_bits_pinned += st.bits_pinned;
-        stats.simplify_conjuncts_before += st.conjuncts_before;
-        stats.simplify_conjuncts_after += st.conjuncts_after;
-        stats.simplify_coi_dropped += st.coi_dropped;
-    }
-
-    /// One-shot check with the word-level static analysis pass in front:
-    /// abstract interpretation + fact-directed rewriting +
-    /// cone-of-influence reduction, then the ordinary pipeline on the
-    /// surviving conjuncts.
-    ///
-    /// Goal anchoring for COI: scoped assertions (everything past the
-    /// base-level prefix) are the negated proof obligation; base-level
-    /// assertions are background facts eligible for dropping.
-    fn check_oneshot_simplified(&mut self, ctx: &mut Ctx, active: &[TermId]) -> SatResult {
-        let simp_start = Instant::now();
-        let goal_start = self.assertions.len().min(active.len());
-        let outcome = analysis::simplify_query(ctx, active, goal_start, true);
-        self.stats.simplify_time += simp_start.elapsed();
-        match outcome {
-            SimplifyOutcome::Discharged(st) => {
-                Self::absorb_simplify(&mut self.stats, &st);
-                self.stats.statically_discharged += 1;
-                if self.config.certify {
-                    // Certified runs promise a checked DRAT refutation for
-                    // every Unsat, which the abstraction cannot produce.
-                    // Re-run the SAT path on the originals; the discharge
-                    // still counts in the stats, and a Sat answer here
-                    // would mean the analysis is unsound — fail loudly.
-                    let r = self.check_oneshot(ctx, active);
-                    assert!(
-                        !matches!(r, SatResult::Sat(_)),
-                        "statically discharged query found satisfiable by the SAT path"
-                    );
-                    r
-                } else {
-                    SatResult::StaticallyDischarged
-                }
-            }
-            SimplifyOutcome::Simplified {
-                assertions,
-                coi_dropped_any,
-                stats: st,
-            } => {
-                Self::absorb_simplify(&mut self.stats, &st);
-                let result = self.check_oneshot(ctx, &assertions);
-                match result {
-                    SatResult::Sat(m) => {
-                        // The simplified set is equisatisfiable except for
-                        // COI drops, where Sat-on-the-cone needs the full
-                        // original set to confirm (the dropped components
-                        // are independently satisfiable or not).
-                        let holds = active.iter().all(|&t| eval_bool(ctx, t, &m.assignment));
-                        if holds {
-                            SatResult::Sat(m)
-                        } else {
-                            debug_assert!(
-                                coi_dropped_any,
-                                "model of the simplified set falsifies an original \
-                                 assertion without any COI drop — rewrite unsound"
-                            );
-                            self.check_oneshot(ctx, active)
-                        }
-                    }
-                    other => other,
-                }
             }
         }
     }
@@ -1347,136 +1200,5 @@ mod tests {
         s.assert(&mut ctx, gt5);
         assert!(s.check(&mut ctx).is_unsat());
         s.pop();
-    }
-
-    /// A contradiction the interval domain sees is discharged without
-    /// touching the SAT core, in both pipeline shapes.
-    #[test]
-    fn simplify_discharges_interval_contradiction() {
-        for incremental in [false, true] {
-            let mut ctx = Ctx::new();
-            let x = ctx.var("x", Sort::Bv(16));
-            let c5 = ctx.bv_const(16, 5);
-            let c10 = ctx.bv_const(16, 10);
-            let lt = ctx.ult(x, c5);
-            let gt = ctx.ult(c10, x);
-            let mut s = Solver::with_config(SolverConfig {
-                incremental,
-                simplify: true,
-                ..SolverConfig::default()
-            });
-            s.assert(&mut ctx, lt);
-            s.assert(&mut ctx, gt);
-            let r = s.check(&mut ctx);
-            assert!(
-                matches!(r, SatResult::StaticallyDischarged),
-                "incremental={incremental}: expected discharge, got {r:?}"
-            );
-            assert!(r.is_unsat());
-            assert_eq!(s.stats.statically_discharged, 1);
-            assert_eq!(s.stats.conflicts, 0, "SAT core must not have run");
-            assert_eq!(s.totals.statically_discharged, 1);
-        }
-    }
-
-    /// Under `certify` a discharge is re-proved through the SAT path so
-    /// the answer carries a checked DRAT refutation; the plain variant
-    /// is never returned.
-    #[test]
-    fn certify_reruns_discharged_queries() {
-        for incremental in [false, true] {
-            let mut ctx = Ctx::new();
-            let x = ctx.var("x", Sort::Bv(16));
-            let c5 = ctx.bv_const(16, 5);
-            let c10 = ctx.bv_const(16, 10);
-            let lt = ctx.ult(x, c5);
-            let gt = ctx.ult(c10, x);
-            let mut s = Solver::with_config(SolverConfig {
-                incremental,
-                simplify: true,
-                certify: true,
-                ..SolverConfig::default()
-            });
-            s.assert(&mut ctx, lt);
-            s.assert(&mut ctx, gt);
-            let r = s.check(&mut ctx);
-            assert!(
-                matches!(r, SatResult::Unsat),
-                "incremental={incremental}: expected certified Unsat, got {r:?}"
-            );
-            assert_eq!(s.stats.statically_discharged, 1);
-            assert_eq!(
-                s.stats.certified_unsat, 1,
-                "incremental={incremental}: discharge shipped without a checked proof"
-            );
-        }
-    }
-
-    /// Satisfiable queries still come back Sat with a valid model when
-    /// the pass rewrites (and COI-drops) conjuncts.
-    #[test]
-    fn simplify_preserves_sat_models() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Bv(32));
-        let y = ctx.var("y", Sort::Bv(32));
-        let z = ctx.var("z", Sort::Bv(32));
-        let c10 = ctx.bv_const(32, 10);
-        let ex = ctx.eq(x, c10);
-        let sum = ctx.bv_add(x, y);
-        let c100 = ctx.bv_const(32, 100);
-        let goal = ctx.eq(sum, c100);
-        // An unrelated background fact COI can drop.
-        let c7 = ctx.bv_const(32, 7);
-        let unrelated = ctx.ult(z, c7);
-        let mut s = Solver::with_config(SolverConfig {
-            incremental: false,
-            simplify: true,
-            ..SolverConfig::default()
-        });
-        s.assert(&mut ctx, ex);
-        s.assert(&mut ctx, unrelated);
-        s.push();
-        s.assert(&mut ctx, goal);
-        match s.check(&mut ctx) {
-            SatResult::Sat(m) => {
-                assert_eq!(m.eval_bv(&ctx, x), Some(10));
-                assert_eq!(m.eval_bv(&ctx, y), Some(90));
-                assert!(m.eval_bv(&ctx, z).unwrap_or(0) < 7);
-            }
-            r => panic!("expected sat, got {r:?}"),
-        }
-        s.pop();
-    }
-
-    /// Incremental sessions keep answering correctly across scopes with
-    /// the pass enabled; a scoped contradiction discharges without
-    /// advancing the encode watermarks, and popping it recovers Sat.
-    #[test]
-    fn incremental_simplify_across_scopes() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Bv(16));
-        let c5 = ctx.bv_const(16, 5);
-        let lt = ctx.ult(x, c5);
-        let mut s = Solver::with_config(SolverConfig {
-            simplify: true,
-            ..SolverConfig::default()
-        });
-        s.assert(&mut ctx, lt);
-        assert!(s.check(&mut ctx).is_sat());
-        s.push();
-        let ge5 = ctx.ule(c5, x);
-        s.assert(&mut ctx, ge5);
-        let r = s.check(&mut ctx);
-        assert!(
-            matches!(r, SatResult::StaticallyDischarged),
-            "expected scoped discharge, got {r:?}"
-        );
-        s.pop();
-        // The discharged pending assertion died with its scope; the
-        // session continues as if it was never encoded.
-        match s.check(&mut ctx) {
-            SatResult::Sat(m) => assert!(m.eval_bv(&ctx, x).unwrap_or(99) < 5),
-            r => panic!("expected sat after pop, got {r:?}"),
-        }
     }
 }

@@ -146,9 +146,6 @@ fn oneshot_verdict(ctx: &mut Ctx, active: &[TermId]) -> bool {
         SatResult::Sat(_) => true,
         SatResult::Unsat => false,
         SatResult::Unknown => panic!("oneshot baseline ran out of budget"),
-        SatResult::StaticallyDischarged => {
-            panic!("oneshot baseline discharged statically with simplify off")
-        }
     }
 }
 
@@ -226,9 +223,6 @@ fn run_session(case: u64, with_func: bool, certify: bool) {
                         );
                     }
                     SatResult::Unknown => panic!("case {case}: unexpected unknown"),
-                    SatResult::StaticallyDischarged => {
-                        panic!("case {case}: static discharge with simplify off")
-                    }
                 }
             }
         }

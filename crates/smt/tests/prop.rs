@@ -122,7 +122,6 @@ fn check_binop(width: u32, op: BvBinOp, a: u64, b: u64) {
             m.eval_bv(&ctx, r)
         ),
         SatResult::Unknown => panic!("unknown"),
-        SatResult::StaticallyDischarged => panic!("static discharge with simplify off"),
     }
 }
 
