@@ -26,42 +26,28 @@
 //! loses to certified oneshot on aggregate `total_ms`: incremental must
 //! win with certification on too.
 //!
-//! With `--parallel` it measures intra-query parallel solving: the
-//! fully certified incremental pipeline runs once per thread count
-//! (default 1/4/8, override with `--threads 1,2`), and per-handler
-//! verdicts, true wall-clock, and the portfolio counters (races,
-//! workers, shared clauses, cubes) go to `BENCH_PR7.json`. The run
-//! exits nonzero if any thread count changes a verdict, leaves an
-//! `UNKNOWN`, or fails to certify an Unsat answer. Detected hardware
-//! parallelism is recorded in the artifact — on a single-core host the
-//! scaling column measures overhead honestly rather than advertising a
-//! speedup the machine cannot produce.
-//!
 //! With `--bmc` it benchmarks the bounded-model-checking phase instead
 //! of the handler proofs: the full `hk-bmc` harness registry (page
 //! walker, TLB coherence, IOMMU/DMA confinement, fs-log crash safety)
-//! runs certified once per thread count (default 1/2), and per-harness
-//! solve times, clause counts, and proof counters go to
-//! `BENCH_PR8.json`. Hard failures: any `UNKNOWN` or counterexample
-//! verdict, an uncertified Unsat answer, or a verdict that changes with
-//! the thread count. `--deep` selects the nightly bound tier
-//! (verification-profile table sizes) instead of the CI fast tier.
+//! runs certified once, and per-harness solve times, clause counts,
+//! and proof counters go to `BENCH_PR8.json`. Hard failures: any
+//! `UNKNOWN` or counterexample verdict, or an uncertified Unsat answer.
+//! `--deep` selects the nightly bound tier (verification-profile table
+//! sizes) instead of the CI fast tier.
 //!
-//! All modes report both the per-handler sum of `total_ms` (comparable
-//! across modes, immune to scheduling) and the true whole-run wall
-//! clock (`wall_ms`, what an operator actually waits).
+//! The handler modes report both the per-handler sum of `total_ms`
+//! (comparable across modes, immune to scheduling) and the true
+//! whole-run wall clock (`wall_ms`, what an operator actually waits).
 //!
 //! ```sh
 //! cargo run --release -p hk-bench --bin bench_incremental
 //! cargo run --release -p hk-bench --bin bench_incremental -- --certify
-//! cargo run --release -p hk-bench --bin bench_incremental -- --parallel
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc
 //! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --deep
 //! # CI smoke: tiny handler set, report to target/, no repo-root write
 //! cargo run --release -p hk-bench --bin bench_incremental -- --smoke
 //! cargo run --release -p hk-bench --bin bench_incremental -- --smoke --certify
-//! cargo run --release -p hk-bench --bin bench_incremental -- --smoke --parallel --threads 1,2
-//! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --smoke --threads 1,2
+//! cargo run --release -p hk-bench --bin bench_incremental -- --bmc --smoke
 //! ```
 
 use std::time::Duration;
@@ -114,10 +100,10 @@ const MAX_SOLVE_MS: u64 = 600_000;
 /// The feature-flag header every benchmark artifact carries, so a
 /// reader never has to infer from the filename which subsystems were
 /// active in the run that produced it.
-fn features_json(incremental: bool, parallel: bool, certify: bool, bmc: bool) -> String {
+fn features_json(incremental: bool, certify: bool, bmc: bool) -> String {
     format!(
-        "\"features\": {{\"incremental\": {incremental}, \"parallel\": {parallel}, \
-         \"certify\": {certify}, \"bmc\": {bmc}}}"
+        "\"features\": {{\"incremental\": {incremental}, \"certify\": {certify}, \
+         \"bmc\": {bmc}}}"
     )
 }
 
@@ -128,11 +114,10 @@ fn run(
     incremental: bool,
     proof_log: bool,
     certify: bool,
-    threads: usize,
 ) -> VerifyReport {
     let mut config = VerifyConfig {
         params,
-        threads,
+        threads: 1,
         only: handlers.to_vec(),
         ..VerifyConfig::default()
     };
@@ -191,11 +176,11 @@ fn run_certify_bench(
         "proof-machinery benchmark over {} handler(s), cold cache\n",
         handlers.len()
     );
-    let baseline = run(image, params, handlers, true, false, false, 1);
-    let disabled = run(image, params, handlers, true, false, false, 1);
-    let logged = run(image, params, handlers, true, true, false, 1);
-    let certified = run(image, params, handlers, true, false, true, 1);
-    let certified_oneshot = run(image, params, handlers, false, false, true, 1);
+    let baseline = run(image, params, handlers, true, false, false);
+    let disabled = run(image, params, handlers, true, false, false);
+    let logged = run(image, params, handlers, true, true, false);
+    let certified = run(image, params, handlers, true, false, true);
+    let certified_oneshot = run(image, params, handlers, false, false, true);
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
         "handler", "base", "disabled", "log", "certify", "1shot cert", "log %", "cert %"
@@ -268,7 +253,7 @@ fn run_certify_bench(
         bw = ms(baseline.total_time),
         cw = ms(certified.total_time),
         ow = ms(certified_oneshot.total_time),
-        features = features_json(true, false, true, false)
+        features = features_json(true, true, false)
     ));
     println!(
         "\naggregate total: {b_tot:.1}ms baseline, {d_tot:.1}ms disabled repeat \
@@ -305,277 +290,81 @@ fn run_certify_bench(
     }
 }
 
-/// The `--parallel` axis: the fully certified incremental pipeline, run
-/// once per thread count. Handler-level workers and query-level
-/// portfolio racing share one `CoreBudget`, so `threads` is the only
-/// knob. Hard failures: a verdict that changes with the thread count, a
-/// surviving `UNKNOWN`, or an Unsat answer that did not certify.
-fn run_parallel_bench(
-    image: &KernelImage,
-    params: KernelParams,
-    handlers: &[Sysno],
-    thread_counts: &[usize],
-    out_path: &std::path::Path,
-    smoke: bool,
-) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "parallel-solving benchmark over {} handler(s), certified, cold cache, \
-         {cores} hardware thread(s) detected\n",
-        handlers.len()
-    );
-    if cores < thread_counts.iter().copied().max().unwrap_or(1) {
-        println!(
-            "note: thread counts above {cores} measure oversubscription overhead \
-             on this host, not speedup\n"
-        );
-    }
-    let mut rows: Vec<(usize, VerifyReport)> = Vec::new();
-    for &t in thread_counts {
-        let r = run(image, params, handlers, true, false, true, t);
-        println!(
-            "threads={t}: wall {:.1}ms, handler-sum {:.1}ms",
-            ms(r.total_time),
-            handler_sum_ms(&r)
-        );
-        rows.push((t, r));
-    }
-    println!(
-        "\n{:<18} {}",
-        "handler",
-        thread_counts
-            .iter()
-            .map(|t| format!("{:>12}", format!("t={t}")))
-            .collect::<String>()
-    );
-    let base = &rows[0];
-    let mut failed = false;
-    for (i, b) in base.1.handlers.iter().enumerate() {
-        let name = b.sysno.func_name();
-        let cells: String = rows
-            .iter()
-            .map(|(_, r)| format!("{:>10.1}ms", ms(r.handlers[i].time)))
-            .collect();
-        println!("{name:<18} {cells}");
-        for (t, r) in &rows {
-            let p = &r.handlers[i];
-            assert_eq!(p.sysno, b.sysno);
-            let (pv, bv) = (p.verdict(), b.verdict());
-            if pv != bv && pv != "UNKNOWN" && bv != "UNKNOWN" {
-                // A Sat<->Unsat flip under racing is a soundness bug.
-                eprintln!("FAIL: threads={t} changed the verdict for {name}: {bv} vs {pv}");
-                failed = true;
-            }
-            if pv == "UNKNOWN" || bv == "UNKNOWN" {
-                // The per-call wall budget is real time: a thread count
-                // the hardware cannot actually run divides the core and
-                // can time out a query that fits sequentially. That is
-                // an oversubscription artifact, same as the budget
-                // tolerance in the other modes — but within the
-                // hardware's parallelism it is a real regression.
-                if *t <= cores && pv == "UNKNOWN" {
-                    eprintln!("FAIL: {name} UNKNOWN at threads={t} ({cores} cores)");
-                    failed = true;
-                } else {
-                    println!(
-                        "note: {name} hit a budget in one run ({bv} at t={}, {pv} at t={t})",
-                        base.0
-                    );
-                }
-            }
-            if p.phases.certified_unsat != p.phases.unsat_queries {
-                eprintln!(
-                    "FAIL: {name} certified only {}/{} unsat answers at threads={t}",
-                    p.phases.certified_unsat, p.phases.unsat_queries
-                );
-                failed = true;
-            }
-        }
-    }
-    let mut json = String::from("{\n  \"threads\": {\n");
-    for (r, (t, report)) in rows.iter().enumerate() {
-        json.push_str(&format!("    \"{t}\": {{\n      \"handlers\": {{\n"));
-        for (i, h) in report.handlers.iter().enumerate() {
-            json.push_str(&format!(
-                "        \"{}\": {}{}\n",
-                h.sysno.func_name(),
-                h.to_json(),
-                if i + 1 < report.handlers.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        json.push_str(&format!(
-            "      }},\n      \"wall_ms\": {:.3},\n      \"handler_sum_ms\": {:.3},\n      \
-             \"speedup_vs_t1\": {:.3},\n      \"phases\": {}\n    }}{}\n",
-            ms(report.total_time),
-            handler_sum_ms(report),
-            ms(base.1.total_time) / ms(report.total_time).max(1e-6),
-            report.totals().to_json(),
-            if r + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  }},\n  \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"certify\": true, \
-         \"incremental\": true, \"cores_detected\": {cores}, \
-         \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
-        handlers.len(),
-        features_json(true, true, true, false)
-    ));
-    std::fs::write(out_path, &json).expect("write benchmark artifact");
-    let best = rows
-        .iter()
-        .map(|(t, r)| (*t, ms(base.1.total_time) / ms(r.total_time).max(1e-6)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap();
-    println!(
-        "\nbest wall-clock scaling: {:.2}x at threads={} (vs threads={})",
-        best.1, best.0, base.0
-    );
-    println!("wrote {}", out_path.display());
-    if failed {
-        std::process::exit(1);
-    }
-}
-
 /// The `--bmc` axis: the bounded-model-checking harness registry, run
-/// certified once per thread count. The substrate analogue of
-/// `--parallel`: the same hard failures (verdict drift across thread
-/// counts, surviving `UNKNOWN`, uncertified Unsat), plus any
-/// counterexample — the stock models must prove at every tier.
-fn run_bmc_bench(
-    tier: hk_bmc::Tier,
-    thread_counts: &[usize],
-    out_path: &std::path::Path,
-    smoke: bool,
-) {
+/// certified once. Hard failures: any counterexample (the stock models
+/// must prove at every tier), a surviving `UNKNOWN`, or an Unsat answer
+/// that did not certify.
+fn run_bmc_bench(tier: hk_bmc::Tier, out_path: &std::path::Path, smoke: bool) {
     use hk_bmc::BmcOutcome;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "bmc benchmark at the {} tier, certified, {cores} hardware thread(s) detected\n",
-        tier.name()
-    );
-    let mut rows: Vec<(usize, hk_core::BmcReport)> = Vec::new();
-    for &t in thread_counts {
-        let cfg = hk_bmc::BmcConfig {
-            tier,
-            certify: true,
-            threads: t,
-            max_conflicts: Some(MAX_CONFLICTS),
-            max_solve_ms: Some(MAX_SOLVE_MS),
-            ..hk_bmc::BmcConfig::default()
-        };
-        let report = hk_core::run_bmc(&cfg, &hk_core::EventSink::null());
-        println!(
-            "threads={t}: wall {:.1}ms, {}/{} proved, {}/{} unsat certified",
-            ms(report.total_time),
-            report.proved(),
-            report.harnesses.len(),
-            report.certified_unsat(),
-            report.unsat_queries()
-        );
-        rows.push((t, report));
-    }
-    let base = &rows[0];
+    println!("bmc benchmark at the {} tier, certified\n", tier.name());
+    let cfg = hk_bmc::BmcConfig {
+        tier,
+        certify: true,
+        max_conflicts: Some(MAX_CONFLICTS),
+        max_solve_ms: Some(MAX_SOLVE_MS),
+        ..hk_bmc::BmcConfig::default()
+    };
+    let report = hk_core::run_bmc(&cfg, &hk_core::EventSink::null());
     let mut failed = false;
     println!(
-        "\n{:<28} {:>10} {:>9} {:>10} {}",
-        "harness",
-        "clauses",
-        "queries",
-        "verdict",
-        thread_counts
-            .iter()
-            .map(|t| format!("{:>12}", format!("t={t}")))
-            .collect::<String>()
+        "{:<28} {:>10} {:>9} {:>10} {:>12}",
+        "harness", "clauses", "queries", "verdict", "time"
     );
-    for (i, b) in base.1.harnesses.iter().enumerate() {
-        let cells: String = rows
-            .iter()
-            .map(|(_, r)| format!("{:>10.1}ms", ms(r.harnesses[i].time)))
-            .collect();
+    for h in &report.harnesses {
         println!(
-            "{:<28} {:>10} {:>9} {:>10} {cells}",
-            b.name,
-            b.cnf_clauses,
-            b.queries,
-            b.outcome.verdict()
+            "{:<28} {:>10} {:>9} {:>10} {:>10.1}ms",
+            h.name,
+            h.cnf_clauses,
+            h.queries,
+            h.outcome.verdict(),
+            ms(h.time)
         );
-        for (t, r) in &rows {
-            let h = &r.harnesses[i];
-            assert_eq!(h.name, b.name);
-            match &h.outcome {
-                BmcOutcome::Proved => {}
-                BmcOutcome::Counterexample(text) => {
-                    eprintln!(
-                        "FAIL: {} found a counterexample at threads={t}:\n{text}",
-                        h.name
-                    );
-                    failed = true;
-                }
-                BmcOutcome::Unknown => {
-                    eprintln!(
-                        "FAIL: {} UNKNOWN at threads={t} (bounds {})",
-                        h.name, h.bounds
-                    );
-                    failed = true;
-                }
-            }
-            if h.outcome.verdict() != b.outcome.verdict() {
-                eprintln!(
-                    "FAIL: threads={t} changed the verdict for {}: {} vs {}",
-                    h.name,
-                    b.outcome.verdict(),
-                    h.outcome.verdict()
-                );
+        match &h.outcome {
+            BmcOutcome::Proved => {}
+            BmcOutcome::Counterexample(text) => {
+                eprintln!("FAIL: {} found a counterexample:\n{text}", h.name);
                 failed = true;
             }
-            if h.certified_unsat != h.unsat_queries {
-                eprintln!(
-                    "FAIL: {} certified only {}/{} unsat answers at threads={t}",
-                    h.name, h.certified_unsat, h.unsat_queries
-                );
+            BmcOutcome::Unknown => {
+                eprintln!("FAIL: {} UNKNOWN (bounds {})", h.name, h.bounds);
                 failed = true;
             }
         }
+        if h.certified_unsat != h.unsat_queries {
+            eprintln!(
+                "FAIL: {} certified only {}/{} unsat answers",
+                h.name, h.certified_unsat, h.unsat_queries
+            );
+            failed = true;
+        }
     }
-    let mut json = String::from("{\n  \"threads\": {\n");
-    for (r, (t, report)) in rows.iter().enumerate() {
-        json.push_str(&format!("    \"{t}\": "));
-        // Reuse the driver's "bmc" report section verbatim: per-harness
-        // solve/encode times, clause counts, and proof counters.
-        let section = report.to_json();
-        json.push_str(&section.replace('\n', "\n    "));
-        json.push_str(if r + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    let b_wall = ms(base.1.total_time);
-    json.push_str(&format!(
-        "  }},\n  \"aggregate\": {{\n    \"harnesses\": {},\n    \"proved\": {},\n    \
-         \"unsat_queries\": {},\n    \"certified_unsat\": {},\n    \
-         \"wall_ms_t{}\": {b_wall:.3},\n    \"best_speedup_vs_t{}\": {:.3}\n  }},\n  \
-         \"config\": {{\"smoke\": {smoke}, \"tier\": \"{}\", \"certify\": true, \
-         \"cores_detected\": {cores}, \"max_conflicts\": {MAX_CONFLICTS}, \
+    // Reuse the driver's "bmc" report section verbatim: per-harness
+    // solve/encode times, clause counts, and proof counters.
+    let json = format!(
+        "{{\n  \"bmc\": {},\n  \"aggregate\": {{\n    \"harnesses\": {},\n    \
+         \"proved\": {},\n    \"unsat_queries\": {},\n    \"certified_unsat\": {},\n    \
+         \"wall_ms\": {:.3}\n  }},\n  \"config\": {{\"smoke\": {smoke}, \"tier\": \"{}\", \
+         \"certify\": true, \"max_conflicts\": {MAX_CONFLICTS}, \
          \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
-        base.1.harnesses.len(),
-        base.1.proved(),
-        base.1.unsat_queries(),
-        base.1.certified_unsat(),
-        base.0,
-        base.0,
-        rows.iter()
-            .map(|(_, r)| b_wall / ms(r.total_time).max(1e-6))
-            .fold(0.0f64, f64::max),
+        report.to_json().trim_end().replace('\n', "\n  "),
+        report.harnesses.len(),
+        report.proved(),
+        report.unsat_queries(),
+        report.certified_unsat(),
+        ms(report.total_time),
         tier.name(),
-        features_json(true, true, true, true)
-    ));
+        features_json(true, true, true)
+    );
+    println!(
+        "\nwall {:.1}ms, {}/{} proved, {}/{} unsat certified",
+        ms(report.total_time),
+        report.proved(),
+        report.harnesses.len(),
+        report.certified_unsat(),
+        report.unsat_queries()
+    );
     std::fs::write(out_path, &json).expect("write benchmark artifact");
-    println!("\nwrote {}", out_path.display());
+    println!("wrote {}", out_path.display());
     if failed {
         std::process::exit(1);
     }
@@ -585,26 +374,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let certify_mode = args.iter().any(|a| a == "--certify");
-    let parallel_mode = args.iter().any(|a| a == "--parallel");
     let bmc_mode = args.iter().any(|a| a == "--bmc");
     let deep = args.iter().any(|a| a == "--deep");
-    // --threads 1,2,4 overrides the parallel/bmc-mode scaling ladder.
-    let thread_counts: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| {
-            list.split(',')
-                .map(|n| n.parse().expect("bad --threads value"))
-                .collect()
-        })
-        .unwrap_or_else(|| {
-            if smoke || bmc_mode {
-                vec![1, 2]
-            } else {
-                vec![1, 4, 8]
-            }
-        });
     if bmc_mode {
         let tier = if deep {
             hk_bmc::Tier::Deep
@@ -617,7 +388,7 @@ fn main() {
         } else {
             std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR8.json")
         };
-        run_bmc_bench(tier, &thread_counts, &out, smoke);
+        run_bmc_bench(tier, &out, smoke);
         return;
     }
     // --only sys_a,sys_b restricts the handler set (for probing one
@@ -644,16 +415,6 @@ fn main() {
         None => &FIG7_HANDLERS,
     };
     let image = KernelImage::build(params).expect("kernel build");
-    if parallel_mode {
-        let out = if smoke || only.is_some() {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/BENCH_PR7_smoke.json")
-        } else {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR7.json")
-        };
-        run_parallel_bench(&image, params, handlers, &thread_counts, &out, smoke);
-        return;
-    }
     if certify_mode {
         let out = if smoke || only.is_some() {
             std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -670,8 +431,8 @@ fn main() {
     );
     // Incremental first: it is the fast side, so progress shows early
     // and a hung baseline handler is obvious from the trace.
-    let incremental = run(&image, params, handlers, true, false, false, 1);
-    let oneshot = run(&image, params, handlers, false, false, false, 1);
+    let incremental = run(&image, params, handlers, true, false, false);
+    let oneshot = run(&image, params, handlers, false, false, false);
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>12} {:>9}",
         "handler", "1shot enc", "incr enc", "1shot slv", "incr slv", "enc x"
@@ -727,7 +488,7 @@ fn main() {
         handlers.len(),
         ow = ms(oneshot.total_time),
         nw = ms(incremental.total_time),
-        features = features_json(true, false, false, false)
+        features = features_json(true, false, false)
     ));
     println!(
         "\naggregate encode: {o_enc:.1}ms oneshot vs {n_enc:.1}ms incremental ({speedup:.2}x)"

@@ -8,11 +8,10 @@
 //! [`BmcConfig::certify`] every `Unsat` is re-derived by the
 //! independent DRAT checker, exactly as for the syscall handlers.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hk_abi::KernelParams;
-use hk_smt::{CoreBudget, Ctx, Model, SatResult, Solver, SolverConfig, TermId};
+use hk_smt::{Ctx, Model, SatResult, Solver, SolverConfig, TermId};
 
 /// Bound tier: how big the symbolic state is allowed to get.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +62,6 @@ pub struct BmcConfig {
     pub max_conflicts: Option<u64>,
     /// Per-query wall-clock budget in milliseconds.
     pub max_solve_ms: Option<u64>,
-    /// Worker threads available to the intra-query portfolio (1
-    /// disables racing; verdicts are deterministic either way).
-    pub threads: usize,
     /// Plant one seeded bug (negative-fixture tests only).
     pub seeded_bug: Option<SeededBug>,
     /// Restrict the run to harnesses with these exact names.
@@ -79,7 +75,6 @@ impl Default for BmcConfig {
             certify: true,
             max_conflicts: Some(10_000_000),
             max_solve_ms: Some(600_000),
-            threads: 1,
             seeded_bug: None,
             only: None,
         }
@@ -200,12 +195,6 @@ impl Prover {
         };
         sc.sat.max_conflicts = cfg.max_conflicts;
         sc.sat.max_solve_ms = cfg.max_solve_ms;
-        if cfg.threads > 1 {
-            sc.parallel.workers = cfg.threads;
-            sc.parallel.budget = Some(Arc::new(CoreBudget::new(cfg.threads - 1)));
-        } else {
-            sc.parallel.budget = None;
-        }
         Prover {
             ctx,
             solver: Solver::with_config(sc),

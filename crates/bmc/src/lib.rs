@@ -7,7 +7,7 @@
 //! Kani-style *harnesses*: bounded proof obligations that lift small
 //! symbolic state into hk-smt terms, mirror the real Rust code as term
 //! circuits, and discharge the properties through the same incremental
-//! CDCL/portfolio solver stack as the kernel proofs, with every Unsat
+//! CDCL solver stack as the kernel proofs, with every Unsat
 //! optionally re-derived by the independent DRAT checker.
 //!
 //! Four harness families ship here:

@@ -23,8 +23,6 @@ pub struct BmcReport {
     pub harnesses: Vec<HarnessReport>,
     /// Bound tier the run used (`fast` / `deep`).
     pub tier: &'static str,
-    /// Worker threads per query.
-    pub threads: usize,
     /// Whether Unsat answers were DRAT-certified.
     pub certified: bool,
     /// Whole-phase wall clock.
@@ -68,9 +66,8 @@ impl BmcReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "bmc ({} tier, {} thread(s)): {}/{} proved in {:.1}s",
+            "bmc ({} tier): {}/{} proved in {:.1}s",
             self.tier,
-            self.threads,
             self.proved(),
             self.harnesses.len(),
             self.total_time.as_secs_f64()
@@ -104,7 +101,7 @@ impl BmcReport {
     /// section:
     ///
     /// ```json
-    /// "bmc": { "tier": "fast", "threads": 1, "total_time_s": 1.2,
+    /// "bmc": { "tier": "fast", "total_time_s": 1.2,
     ///          "proved": 10, "total": 10, "unknown": 0,
     ///          "proof": { "unsat_queries": 14, "certified_unsat": 14 },
     ///          "harnesses": [
@@ -120,7 +117,6 @@ impl BmcReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"tier\": \"{}\",", self.tier);
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(
             out,
             "  \"total_time_s\": {:.6},",
@@ -227,7 +223,6 @@ pub fn run_bmc(cfg: &BmcConfig, sink: &EventSink) -> BmcReport {
     let report = BmcReport {
         harnesses: reports,
         tier: cfg.tier.name(),
-        threads: cfg.threads,
         certified: cfg.certify,
         total_time: start.elapsed(),
     };

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use hk_abi::{KernelParams, Sysno};
 use hk_kernel::KernelImage;
-use hk_smt::{CacheStats, CoreBudget, QueryCache, SolverConfig, Stats};
+use hk_smt::{CacheStats, QueryCache, SolverConfig, Stats};
 use hk_spec::shapes_of;
 use hk_symx::SymxConfig;
 
@@ -199,13 +199,6 @@ impl VerifyReport {
                 t.proof_check_time.as_secs_f64()
             );
         }
-        if t.races > 0 {
-            let _ = writeln!(
-                out,
-                "portfolio: {} races across {} workers, {} clauses imported, {} cubes solved",
-                t.races, t.race_workers, t.clauses_imported, t.cubes_solved
-            );
-        }
         out
     }
 
@@ -227,8 +220,7 @@ impl VerifyReport {
     ///   "phases": { "symx_time_s": 0.8, "checks": 128, "assertions": 3, ...,
     ///               "cache_hits": 120, "cache_misses": 8, "conflicts": 3104, ...,
     ///               "unsat_queries": 96, "certified_unsat": 96, ...,
-    ///               "race_wins": { "base": 1, "flip-reduce": 0, ... }, ...,
-    ///               "cubes_solved": 0 },
+    ///               "proof_check_time_s": 0.42 },
     ///   "handlers": [
     ///     { "name": "sys_dup", "trap": 23, "verdict": "verified", "detail": null,
     ///       "paths": 4, "side_checks": 9, "cnf_clauses": 1042, "conflicts": 3,
@@ -369,25 +361,6 @@ fn emit_finished(
         side_checks: report.side_checks,
         phases: Box::new(report.phases),
     });
-    if report.phases.races > 0 {
-        // Reported only when the handler actually raced: whether a
-        // query races depends on spare budget capacity at the moment it
-        // runs, so this event is timing-dependent by design and stays
-        // out of determinism comparisons (the verdicts above do not).
-        let p = &report.phases;
-        events.emit(&VerifyEvent::PortfolioStarted {
-            sysno: report.sysno,
-            index,
-            total,
-            races: p.races,
-            workers: p.race_workers,
-            wins: p.race_wins,
-            clauses_exported: p.clauses_exported,
-            clauses_imported: p.clauses_imported,
-            cubes_total: p.cubes_total,
-            cubes_solved: p.cubes_solved,
-        });
-    }
     if certify {
         // In certified mode every Unsat answer must have been confirmed
         // by the independent checker (or vacuously, for trivially-false
@@ -479,16 +452,6 @@ pub fn verify_image(image: &KernelImage, config: &VerifyConfig) -> VerifyReport 
     });
     let bounds = analysis.bounds;
     let handler_fn = |s: Sysno| image.handler(s);
-    // One core budget for the whole run, shared between the handler
-    // pool and intra-query portfolio racing: handler workers hold one
-    // core each while they have work and release it when their queue
-    // runs dry, so late hard queries race across the freed cores. A
-    // single-threaded run gets no budget and stays strictly sequential.
-    let budget = if config.threads > 1 {
-        Some(Arc::new(CoreBudget::new(config.threads)))
-    } else {
-        None
-    };
     let vctx = VerifyCtx {
         module: &image.module,
         shapes: &shapes,
@@ -498,7 +461,6 @@ pub fn verify_image(image: &KernelImage, config: &VerifyConfig) -> VerifyReport 
         solver: solver_config,
         symx: config.symx,
         bounds: Some(&bounds),
-        budget: budget.clone(),
     };
     let total = targets.len();
     let certify = config.solver.certify;
@@ -539,24 +501,11 @@ pub fn verify_image(image: &KernelImage, config: &VerifyConfig) -> VerifyReport 
             next_emit: 0,
         });
         let workers = config.threads.min(total);
-        // Handler workers occupy `workers` cores; whatever the budget
-        // has left over (threads > targets) is immediately available to
-        // query-level racing.
-        if let Some(b) = &budget {
-            let got = b.try_acquire(workers);
-            debug_assert_eq!(got, workers);
-        }
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     if i >= total {
-                        // This worker is done for good: hand its core to
-                        // the portfolio so still-running whales can race
-                        // wider.
-                        if let Some(b) = budget.as_ref() {
-                            b.release(1);
-                        }
                         break;
                     }
                     let report = verify_handler(&vctx, targets[i]);

@@ -95,37 +95,6 @@ pub enum VerifyEvent {
         /// grown far past every other variant's payload).
         phases: Box<PhaseStats>,
     },
-    /// One or more of a handler's queries were raced by the intra-query
-    /// portfolio (see `hk_smt::parallel`). Emitted between
-    /// `HandlerFinished` and any `HandlerCertified`, and only when the
-    /// handler actually raced — whether a query races depends on spare
-    /// capacity in the shared core budget at the moment it runs, so
-    /// this event (and every counter on it) is timing-dependent and is
-    /// excluded from determinism comparisons. The *verdicts* stay
-    /// deterministic regardless of racing; that is what the stable
-    /// event stream asserts.
-    PortfolioStarted {
-        /// The handler.
-        sysno: Sysno,
-        /// Position in the run, `0..total`.
-        index: usize,
-        /// Handlers selected for verification.
-        total: usize,
-        /// Races run across the handler's queries.
-        races: u64,
-        /// Workers across those races.
-        workers: u64,
-        /// Wins per strategy, indexed like [`hk_smt::STRATEGY_NAMES`].
-        wins: [u64; hk_smt::STRATEGY_NAMES.len()],
-        /// Learnt clauses exported to exchanges.
-        clauses_exported: u64,
-        /// Learnt clauses imported from exchanges.
-        clauses_imported: u64,
-        /// Cube jobs generated.
-        cubes_total: u64,
-        /// Cube jobs that reached a verdict.
-        cubes_solved: u64,
-    },
     /// A handler's Unsat verdicts have been re-checked by the
     /// independent proof checker. Emitted directly after
     /// `HandlerFinished` when the run has `solver.certify` set; the
@@ -266,29 +235,6 @@ impl EventSink {
                     side_checks,
                     phases.cache_hits,
                     phases.checks
-                );
-            }
-            VerifyEvent::PortfolioStarted {
-                sysno,
-                races,
-                workers,
-                wins,
-                clauses_exported,
-                clauses_imported,
-                cubes_total,
-                cubes_solved,
-                ..
-            } => {
-                let best = wins
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, w)| *w)
-                    .filter(|&(_, w)| *w > 0)
-                    .map(|(i, _)| hk_smt::STRATEGY_NAMES[i])
-                    .unwrap_or("none");
-                eprintln!(
-                    "[verify] {:<24} portfolio  {races} races x{workers} workers (top winner {best}, {clauses_exported}/{clauses_imported} clauses shared, {cubes_solved}/{cubes_total} cubes)",
-                    sysno.func_name()
                 );
             }
             VerifyEvent::HandlerCertified {

@@ -114,10 +114,6 @@ pub struct VerifyCtx<'a> {
     /// the symbolic executor asserts these unrolling limits instead of
     /// probing the solver at every loop back edge.
     pub bounds: Option<&'a hk_hir::LoopBounds>,
-    /// Core budget shared between handler-level worker threads and
-    /// query-level portfolio racing. `None` keeps every query strictly
-    /// sequential (the single-thread driver path).
-    pub budget: Option<std::sync::Arc<hk_smt::CoreBudget>>,
 }
 
 /// Symbolically evaluates the representation invariant on a state.
@@ -217,11 +213,7 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
     // refinement probe batch — runs in its own push/pop scope guarded by
     // an activation literal. Learnt clauses, variable activities, and
     // the term→literal encoding all carry over from query to query.
-    let mut solver_config = vctx.solver.clone();
-    // Hand the handler's solver the shared core budget: hard queries
-    // race a portfolio on whatever cores the handler pool leaves idle.
-    solver_config.parallel.budget = vctx.budget.clone();
-    let mut solver = Solver::with_config(solver_config);
+    let mut solver = Solver::with_config(vctx.solver.clone());
     solver.assert(&mut ctx, i_pre);
     // ---- Query 1: undefined behaviour. ----
     if !impl_res.side_checks.is_empty() {

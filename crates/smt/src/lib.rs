@@ -17,9 +17,6 @@
 //! * [`sat`] — a CDCL SAT solver (watched literals, VSIDS, 1UIP learning,
 //!   Luby restarts, phase saving, LBD-driven learnt-clause reduction,
 //!   chronological backtracking, root-level GC and inprocessing);
-//! * [`parallel`] — intra-query parallelism: portfolio racing over
-//!   diverse solver configs, learnt-clause sharing, cube-and-conquer,
-//!   all under a core budget shared with the driver's thread pool;
 //! * [`model`] — counterexample models, the raw material for the verifier's
 //!   test-case generation (paper §2.4);
 //! * [`solver`] — the front door tying the pipeline together;
@@ -56,7 +53,6 @@ pub mod cache;
 pub mod cnf;
 pub mod eval;
 pub mod model;
-pub mod parallel;
 pub mod sat;
 pub mod solver;
 pub mod stats;
@@ -64,7 +60,6 @@ pub mod term;
 
 pub use cache::{CacheStats, CachedVerdict, QueryCache, QueryKey};
 pub use model::Model;
-pub use parallel::{CoreBudget, ParallelConfig, STRATEGY_NAMES};
 pub use sat::{ReduceStrategy, SatConfig, SatSolver};
 pub use solver::{SatResult, Solver, SolverConfig};
 pub use stats::{SolverStats, Stats};

@@ -30,6 +30,10 @@
 //! *because of* its assumptions, the responsible subset is recovered via
 //! final-conflict analysis ([`SatSolver::failed_assumptions`]).
 //!
+//! Each `solve*` call is one sequential search on the calling thread.
+//! Verification gets its parallelism one level up, where the driver
+//! verifies handlers on a thread pool, one solver per handler (paper §6.3).
+//!
 //! The solver can additionally log a binary-DRAT **proof** of its work
 //! (see [`SatSolver::start_proof`]): every input clause, learnt clause,
 //! deletion, and concluding conflict clause goes into an
@@ -71,10 +75,9 @@ pub struct SatConfig {
     pub restarts: bool,
     /// Base interval (in conflicts) of the Luby restart sequence.
     pub restart_base: u64,
-    /// Whether to reuse the last assigned polarity when deciding.
+    /// Whether to reuse the last assigned polarity when deciding. A
+    /// variable with no saved phase is decided `false`.
     pub phase_saving: bool,
-    /// Initial polarity when no phase is saved.
-    pub default_phase: bool,
     /// Learnt-clause database reduction policy.
     pub reduce_strategy: ReduceStrategy,
     /// Conflicts before the first LBD-scheduled reduction.
@@ -120,7 +123,6 @@ impl Default for SatConfig {
             restarts: true,
             restart_base: 100,
             phase_saving: true,
-            default_phase: false,
             reduce_strategy: ReduceStrategy::Lbd,
             reduce_base: 2000,
             reduce_incr: 300,
@@ -209,8 +211,7 @@ enum Branch {
 /// The solver.
 ///
 /// Cloning a solver clones its whole state — clause database, learnt
-/// clauses, heuristics, and proof stream — which is what portfolio
-/// racing (`crate::parallel`) relies on to hand each worker an
+/// clauses, heuristics, and proof stream — so a clone continues as an
 /// independent but warm copy.
 #[derive(Debug, Clone)]
 pub struct SatSolver {
@@ -255,13 +256,6 @@ pub struct SatSolver {
     pub stats: SatStats,
     /// Binary-DRAT proof stream, when logging is on.
     proof: Option<ProofWriter>,
-    /// Shared cancellation flag for portfolio racing: checked once per
-    /// main-loop round; when set, the solve returns `Unknown` promptly.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Learnt-clause exchange link for portfolio racing (export at
-    /// learning, import at restart boundaries). Never set while proof
-    /// logging is on.
-    exchange: Option<crate::parallel::ExchangeLink>,
 }
 
 #[inline]
@@ -331,142 +325,6 @@ impl SatSolver {
             conflict: Vec::new(),
             stats: SatStats::default(),
             proof: None,
-            cancel: None,
-            exchange: None,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SatConfig {
-        &self.config
-    }
-
-    /// Mutable access to the configuration (portfolio workers retune a
-    /// cloned solver before racing).
-    pub fn config_mut(&mut self) -> &mut SatConfig {
-        &mut self.config
-    }
-
-    /// Installs (or clears) a shared cancellation flag. While the flag
-    /// reads `true`, `solve*` returns `Unknown` at the next main-loop
-    /// round.
-    pub fn set_cancel(&mut self, flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.cancel = flag;
-    }
-
-    /// Links this solver to a learnt-clause exchange as worker `id`.
-    /// Panics if proof logging is on: imported lemmas are RUP with
-    /// respect to the exporter's derivation, not this solver's stream,
-    /// so sharing under logging would produce uncheckable proofs.
-    pub fn attach_exchange(
-        &mut self,
-        buf: std::sync::Arc<crate::parallel::ClauseExchange>,
-        id: usize,
-        glue_max: u32,
-    ) {
-        assert!(
-            self.proof.is_none(),
-            "clause sharing is unsound under proof logging"
-        );
-        self.exchange = Some(crate::parallel::ExchangeLink {
-            buf,
-            id,
-            cursor: 0,
-            glue_max,
-        });
-    }
-
-    /// Unlinks this solver from any clause exchange.
-    pub fn detach_exchange(&mut self) {
-        self.exchange = None;
-    }
-
-    /// The `k` unassigned variables with the highest VSIDS activity, as
-    /// DIMACS variable numbers, excluding `skip` (assumption
-    /// variables). Used to pick cube-split variables after a probe
-    /// solve has warmed the activity ordering.
-    pub fn top_activity_vars(&self, k: usize, skip: &[u32]) -> Vec<u32> {
-        let mut vars: Vec<u32> = (0..self.assigns.len() as u32)
-            .filter(|&v| self.assigns[v as usize] == UNDEF && !skip.contains(&(v + 1)))
-            .collect();
-        vars.sort_by(|&a, &b| {
-            self.activity[b as usize]
-                .partial_cmp(&self.activity[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        vars.truncate(k);
-        vars.iter().map(|&v| v + 1).collect()
-    }
-
-    /// Imports clauses published to the exchange since the last import.
-    /// Called at restart boundaries with the trail at level 0. Returns
-    /// `false` when an import (with root simplification) yields the
-    /// empty clause or an immediate root conflict — the formula is
-    /// refuted. Only ever runs with proof logging off (enforced by
-    /// `attach_exchange`).
-    fn import_shared(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        debug_assert!(self.proof.is_none());
-        let batch = {
-            let link = self.exchange.as_mut().expect("import without exchange");
-            let buf = link.buf.clone();
-            buf.fetch(link.id, &mut link.cursor)
-        };
-        if batch.is_empty() {
-            return true;
-        }
-        let mut accepted = 0u64;
-        for (lbd, lits) in &batch {
-            // Root-simplify against this solver's own level-0 trail:
-            // drop the clause if any literal is already true, strip the
-            // false ones. Workers share one CNF, so variables line up.
-            let mut kept: Vec<u32> = Vec::with_capacity(lits.len());
-            let mut satisfied = false;
-            for &l in lits.iter() {
-                let ul = lit_from_dimacs(l);
-                match self.value_lit(ul) {
-                    TRUE => {
-                        satisfied = true;
-                        break;
-                    }
-                    FALSE => {}
-                    _ => kept.push(ul),
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            accepted += 1;
-            match kept.len() {
-                0 => {
-                    // Every literal false at the root: refuted.
-                    self.note_imported(accepted);
-                    return false;
-                }
-                1 => {
-                    self.enqueue(kept[0], NO_REASON);
-                    if self.propagate().is_some() {
-                        self.note_imported(accepted);
-                        return false;
-                    }
-                }
-                _ => {
-                    let lbd = (*lbd).clamp(1, kept.len() as u32);
-                    let cref = self.attach_clause(kept, true, lbd);
-                    self.bump_clause(cref);
-                }
-            }
-        }
-        self.note_imported(accepted);
-        true
-    }
-
-    fn note_imported(&self, n: u64) {
-        if n > 0 {
-            if let Some(link) = &self.exchange {
-                link.buf.note_imported(n);
-            }
         }
     }
 
@@ -503,7 +361,7 @@ impl SatSolver {
         while self.assigns.len() < n as usize {
             let v = self.assigns.len() as u32;
             self.assigns.push(UNDEF);
-            self.polarity.push(self.config.default_phase);
+            self.polarity.push(false);
             self.activity.push(0.0);
             self.reason.push(NO_REASON);
             self.level.push(0);
@@ -1361,15 +1219,6 @@ impl SatSolver {
                     return SatOutcome::Unknown;
                 }
             }
-            if let Some(cancel) = &self.cancel {
-                // A racing sibling reached a verdict: stand down. One
-                // load per round keeps cancellation latency within a
-                // single propagate-analyze step.
-                if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                    self.backtrack_to(0);
-                    return SatOutcome::Unknown;
-                }
-            }
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
@@ -1402,15 +1251,6 @@ impl SatSolver {
                 if let Some(pr) = self.proof.as_mut() {
                     let lemma: Vec<i32> = learnt.iter().map(|&l| lit_to_dimacs(l)).collect();
                     pr.add_lemma(&lemma);
-                }
-                if let Some(x) = &self.exchange {
-                    // Export glue clauses (and all units) to racing
-                    // siblings. Length-capped: wide clauses cost more to
-                    // attach than they prune.
-                    if learnt.len() <= 32 && (learnt.len() == 1 || lbd <= x.glue_max) {
-                        let lemma: Vec<i32> = learnt.iter().map(|&l| lit_to_dimacs(l)).collect();
-                        x.buf.export(x.id, lbd.max(1), &lemma);
-                    }
                 }
                 // Chronological backtracking: when the backjump would
                 // discard a deep stretch of (likely still useful) levels,
@@ -1460,13 +1300,6 @@ impl SatSolver {
                     conflicts_since_restart = 0;
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are the one place the trail is
-                    // guaranteed back at the root: import what racing
-                    // siblings learnt since the last restart.
-                    if self.exchange.is_some() && !self.import_shared() {
-                        self.ok = false;
-                        return SatOutcome::Unsat;
-                    }
                 }
                 match self.config.reduce_strategy {
                     ReduceStrategy::Activity => {

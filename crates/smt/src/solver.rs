@@ -41,7 +41,6 @@ use crate::cache::{self, CachedVerdict, QueryCache};
 use crate::cnf::Lit;
 use crate::eval::{eval_bool, Value};
 use crate::model::Model;
-use crate::parallel::{self, ParallelConfig, RaceReport};
 use crate::sat::{SatConfig, SatOutcome, SatSolver, SatStats};
 use crate::stats::SolverStats;
 use crate::term::{Ctx, FuncId, Sort, TermId, VarId};
@@ -51,8 +50,9 @@ use crate::term::{Ctx, FuncId, Sort, TermId, VarId};
 pub struct SolverConfig {
     /// Heuristics of the CDCL core.
     pub sat: SatConfig,
-    /// Skip the model-validation pass (only for benchmarking the raw
-    /// pipeline; never in the verifier).
+    /// Skip the model-validation pass. For benchmarking the raw
+    /// pipeline, and for `hk_symx`'s loop back-edge feasibility probes,
+    /// which read only `is_unsat()` and never the model.
     pub skip_validation: bool,
     /// Content-addressed verdict cache shared across solver instances
     /// (and worker threads). `None` disables caching.
@@ -78,11 +78,6 @@ pub struct SolverConfig {
     /// same way a bogus model fails validation on the `Sat` side. Certify
     /// bypasses the query cache: a cached verdict has no proof to check.
     pub certify: bool,
-    /// Intra-query parallelism: portfolio racing, learnt-clause sharing
-    /// and cube-and-conquer for queries that outlast the probe
-    /// threshold. Inert unless a shared [`crate::parallel::CoreBudget`]
-    /// is installed (the driver does this when it has spare threads).
-    pub parallel: ParallelConfig,
 }
 
 impl Default for SolverConfig {
@@ -96,7 +91,6 @@ impl Default for SolverConfig {
             escalate_unknown: true,
             proof_log: false,
             certify: false,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -403,120 +397,6 @@ impl Solver {
         stats.certified_unsat = 1;
     }
 
-    /// Folds a race report into the per-call stats.
-    fn absorb_race(stats: &mut SolverStats, race: &RaceReport) {
-        if !race.raced {
-            return;
-        }
-        stats.races += 1;
-        stats.race_workers += race.workers;
-        if let Some(s) = race.winner {
-            stats.race_wins[s] += 1;
-        }
-        stats.clauses_exported += race.clauses_exported;
-        stats.clauses_imported += race.clauses_imported;
-        stats.cubes_total += race.cubes_total;
-        stats.cubes_solved += race.cubes_solved;
-    }
-
-    /// Certifies an `Unsat` produced by a cube-and-conquer team. The
-    /// refutation is stitched from per-cube proofs: each cube's
-    /// conclusion lemma sits at a recorded prefix of its worker's
-    /// append-only stream, and that prefix is itself a complete DRAT
-    /// stream (inputs are axioms at any position), so it is checked
-    /// independently. The stitching argument:
-    ///
-    /// * each checked prefix proves `inputs ⊨ ¬failed_i`, with
-    ///   `failed_i ⊆ assumptions ∪ cube_i` (asserted below);
-    /// * the cube set is the full `2^k` sign expansion over one
-    ///   variable set (asserted via distinctness + count), so the cubes
-    ///   are exhaustive: any assignment satisfying the inputs and the
-    ///   assumptions falsifies some `¬failed_i` — contradiction;
-    /// * alternatively a single cube proof concluding the empty clause
-    ///   refutes the inputs outright and no cover argument is needed.
-    ///
-    /// Panics when any prefix fails to check, concludes the wrong
-    /// clause, or the cover is incomplete.
-    fn certify_cubes(stats: &mut SolverStats, race: &RaceReport, assumptions: &[i32]) {
-        let check_start = Instant::now();
-        assert!(!race.cube_certs.is_empty(), "cube certify without certs");
-        let mut globally_refuted = false;
-        for cert in &race.cube_certs {
-            assert!(
-                cert.prefix <= cert.proof.len(),
-                "cube proof prefix out of range"
-            );
-            let out = hk_proof::check_proof(&cert.proof[..cert.prefix]).unwrap_or_else(|e| {
-                panic!("cube certify failed: independent checker rejected the proof: {e}")
-            });
-            stats.proofs_checked += 1;
-            stats.proof_lemmas += out.lemmas as u64;
-            stats.proof_core_steps += out.core_lemmas as u64;
-            assert!(
-                cert.failed
-                    .iter()
-                    .all(|l| assumptions.contains(l) || cert.cube.contains(l)),
-                "cube certify failed: failed set {:?} escapes assumptions {:?} + cube {:?}",
-                cert.failed,
-                assumptions,
-                cert.cube
-            );
-            let mut want: Vec<i32> = cert.failed.iter().map(|&l| -l).collect();
-            want.sort_unstable();
-            want.dedup();
-            if out.final_clause.is_empty() {
-                globally_refuted = true;
-            } else {
-                assert!(
-                    out.final_clause == want,
-                    "cube certify failed: proof concludes {:?}, cube claims {:?}",
-                    out.final_clause,
-                    want
-                );
-            }
-        }
-        if !globally_refuted {
-            // Exhaustive cover: the certs must name every one of the
-            // 2^k distinct cubes over a single variable set.
-            let mut cube_vars: Vec<Vec<i32>> = race
-                .cube_certs
-                .iter()
-                .map(|c| {
-                    let mut vs: Vec<i32> = c.cube.iter().map(|l| l.abs()).collect();
-                    vs.sort_unstable();
-                    vs
-                })
-                .collect();
-            cube_vars.dedup();
-            assert!(
-                cube_vars.windows(2).all(|w| w[0] == w[1]),
-                "cube certify failed: cubes split on differing variable sets"
-            );
-            let k = cube_vars.first().map(|v| v.len()).unwrap_or(0);
-            let mut distinct: Vec<Vec<i32>> = race
-                .cube_certs
-                .iter()
-                .map(|c| {
-                    let mut cu = c.cube.clone();
-                    cu.sort_unstable_by_key(|l| l.abs());
-                    cu
-                })
-                .collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert!(
-                k > 0
-                    && distinct.len() == (1usize << k)
-                    && race.cubes_total == distinct.len() as u64,
-                "cube certify failed: cover incomplete ({} of {} cubes certified)",
-                distinct.len(),
-                race.cubes_total
-            );
-        }
-        stats.proof_check_time += check_start.elapsed();
-        stats.certified_unsat = 1;
-    }
-
     // ------------------------------------------------------------------
     // Incremental path: persistent Ackermann + bit-blaster + CDCL core.
     // ------------------------------------------------------------------
@@ -593,10 +473,8 @@ impl Solver {
         // 4. Solve under the open scopes' activation literals.
         let assumptions: Vec<Lit> = self.scopes.iter().filter_map(|s| s.act).collect();
         let solve_start = Instant::now();
-        let (outcome, race) =
-            parallel::solve_maybe_racing(&mut engine.sat, &assumptions, &self.config.parallel);
+        let outcome = engine.sat.solve_with_assumptions(&assumptions);
         self.stats.solve_time += solve_start.elapsed();
-        Self::absorb_race(&mut self.stats, &race);
         // Per-call deltas are taken against the end-of-previous-check
         // snapshot, not a start-of-solve one: clause-loading and
         // `pop`-planted units (with their scope GC) that ran between
@@ -612,31 +490,25 @@ impl Solver {
         match outcome {
             SatOutcome::Unsat => {
                 if self.config.certify {
-                    if !race.cube_certs.is_empty() {
-                        // A cube team won: the refutation is distributed
-                        // over per-cube proof-stream prefixes.
-                        Self::certify_cubes(&mut self.stats, &race, &assumptions);
-                    } else {
-                        // The claim being certified: the failed-assumption
-                        // set is refutable (or, with no failed assumptions,
-                        // the clauses themselves are).
-                        let expected: Vec<i32> = if engine.sat.is_ok() {
-                            engine
-                                .sat
-                                .failed_assumptions()
-                                .iter()
-                                .map(|&l| -l)
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let proof = engine
+                    // The claim being certified: the failed-assumption
+                    // set is refutable (or, with no failed assumptions,
+                    // the clauses themselves are).
+                    let expected: Vec<i32> = if engine.sat.is_ok() {
+                        engine
                             .sat
-                            .proof()
-                            .expect("certify implies proof logging")
-                            .bytes();
-                        Self::certify_unsat(&mut self.stats, &mut engine.checker, proof, &expected);
-                    }
+                            .failed_assumptions()
+                            .iter()
+                            .map(|&l| -l)
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let proof = engine
+                        .sat
+                        .proof()
+                        .expect("certify implies proof logging")
+                        .bytes();
+                    Self::certify_unsat(&mut self.stats, &mut engine.checker, proof, &expected);
                 }
                 SatResult::Unsat
             }
@@ -725,16 +597,12 @@ impl Solver {
         self.stats.bitblast_time += encode_elapsed.saturating_sub(ack_elapsed);
         // 4. SAT.
         let solve_start = Instant::now();
-        let mut race = RaceReport::default();
         let outcome = if ok {
-            let (outcome, r) = parallel::solve_maybe_racing(&mut sat, &[], &self.config.parallel);
-            race = r;
-            outcome
+            sat.solve_with_assumptions(&[])
         } else {
             SatOutcome::Unsat
         };
         self.stats.solve_time += solve_start.elapsed();
-        Self::absorb_race(&mut self.stats, &race);
         add_sat_work(&mut self.stats, &sat.stats, &SatStats::default());
         if let Some(pr) = sat.proof() {
             self.stats.proof_steps += pr.num_steps();
@@ -743,14 +611,10 @@ impl Solver {
         match outcome {
             SatOutcome::Unsat => {
                 if self.config.certify {
-                    if !race.cube_certs.is_empty() {
-                        Self::certify_cubes(&mut self.stats, &race, &[]);
-                    } else {
-                        // An unassumed refutation always concludes the
-                        // empty clause.
-                        let proof = sat.proof().expect("certify implies proof logging").bytes();
-                        Self::certify_unsat(&mut self.stats, &mut ProofSession::new(), proof, &[]);
-                    }
+                    // An unassumed refutation always concludes the
+                    // empty clause.
+                    let proof = sat.proof().expect("certify implies proof logging").bytes();
+                    Self::certify_unsat(&mut self.stats, &mut ProofSession::new(), proof, &[]);
                 }
                 SatResult::Unsat
             }

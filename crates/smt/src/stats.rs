@@ -18,8 +18,6 @@
 use std::fmt::Write;
 use std::time::Duration;
 
-use crate::parallel::STRATEGY_NAMES;
-
 /// How a counter folds into a total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Merge {
@@ -35,11 +33,9 @@ pub trait Counter {
     fn merge(&mut self, other: &Self, rule: Merge)
     where
         Self: Sized;
-    /// Sets the counter to `n` units: microseconds for times, every
-    /// entry for per-strategy counts.
+    /// Sets the counter to `n` units (microseconds for times).
     fn set(&mut self, n: u64);
-    /// Writes `"key": value`. Times print as `"key_s"` in seconds,
-    /// per-strategy counts as an object keyed by strategy name.
+    /// Writes `"key": value`. Times print as `"key_s"` in seconds.
     fn write_json(&self, key: &str, out: &mut String);
 }
 
@@ -76,25 +72,6 @@ impl Counter for Duration {
     }
     fn write_json(&self, key: &str, out: &mut String) {
         let _ = write!(out, "\"{key}_s\": {:.6}", self.as_secs_f64());
-    }
-}
-
-impl Counter for [u64; STRATEGY_NAMES.len()] {
-    fn merge(&mut self, other: &Self, rule: Merge) {
-        for (a, b) in self.iter_mut().zip(other) {
-            a.merge(b, rule);
-        }
-    }
-    fn set(&mut self, n: u64) {
-        *self = [n; STRATEGY_NAMES.len()];
-    }
-    fn write_json(&self, key: &str, out: &mut String) {
-        let _ = write!(out, "\"{key}\": {{ ");
-        for (i, (name, v)) in STRATEGY_NAMES.iter().zip(self).enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{name}\": {v}");
-        }
-        out.push_str(" }");
     }
 }
 
@@ -254,8 +231,8 @@ macro_rules! solver_stats {
             /// Unsat answers certified by the independent checker (a
             /// trivially-false assertion set counts as vacuously certified).
             certified_unsat: u64 = sum,
-            /// Proof-checker runs (a cube-and-conquer Unsat checks one
-            /// proof per cube).
+            /// Proof-checker runs (one per certified Unsat that reached
+            /// the SAT core).
             proofs_checked: u64 = sum,
             /// DRAT steps (inputs + lemmas + deletions) emitted with proof
             /// logging on.
@@ -271,24 +248,6 @@ macro_rules! solver_stats {
             proof_core_steps: u64 = sum,
             /// Time inside the independent proof checker.
             proof_check_time: ::std::time::Duration = sum,
-            /// Portfolio races (only for queries that outlast the probe
-            /// threshold with spare cores; escalation can race the retry
-            /// too).
-            races: u64 = sum,
-            /// Workers across the races, the racing query's own core
-            /// included.
-            race_workers: u64 = sum,
-            /// Race wins per strategy, indexed like
-            /// `hk_smt::STRATEGY_NAMES`.
-            race_wins: [u64; $crate::parallel::STRATEGY_NAMES.len()] = sum,
-            /// Learnt clauses exported to race exchanges.
-            clauses_exported: u64 = sum,
-            /// Learnt clauses imported from race exchanges.
-            clauses_imported: u64 = sum,
-            /// Cube jobs generated by cube-and-conquer teams.
-            cubes_total: u64 = sum,
-            /// Cube jobs that reached a verdict.
-            cubes_solved: u64 = sum,
         }
     };
 }
@@ -338,17 +297,13 @@ mod tests {
         let json = s.to_json();
         let mut names = Vec::new();
         s.visit(&mut |name, _, _| names.push(name));
-        assert!(names.len() > 30, "{names:?}");
+        assert!(names.len() > 25, "{names:?}");
         for name in &names {
             let keys = [format!("\"{name}\":"), format!("\"{name}_s\":")];
             let hits: usize = keys.iter().map(|k| json.matches(k.as_str()).count()).sum();
             assert_eq!(hits, 1, "{name} in {json}");
         }
-        // The keys are the fields, and nothing else: one per field plus
-        // one per strategy inside `race_wins`.
-        assert_eq!(
-            json.matches("\":").count(),
-            names.len() + STRATEGY_NAMES.len()
-        );
+        // The keys are the fields, and nothing else: one per field.
+        assert_eq!(json.matches("\":").count(), names.len());
     }
 }

@@ -13,23 +13,18 @@
 //! concrete function tables: a sampled witness refutes an `Unsat` claim.
 //!
 //! A third test runs 8-bit formulas through every solver configuration
-//! that can change how a verdict is reached — worker count, pipeline
-//! shape, certification — and requires one verdict from all of them.
+//! that can change how a verdict is reached — pipeline shape and
+//! certification — and requires one verdict from all of them.
 //!
 //! Everything runs on the vendored PRNG — no network, no external
 //! crates.
 
 mod common;
 
-use std::sync::Arc;
-
 use common::XorShift64;
 use hk_smt::eval::{eval_bool, Assignment, Value};
 use hk_smt::term::TermData;
-use hk_smt::{
-    BvBinOp, CmpOp, CoreBudget, Ctx, FuncId, ParallelConfig, SatResult, Solver, SolverConfig, Sort,
-    TermId, VarId,
-};
+use hk_smt::{BvBinOp, CmpOp, Ctx, FuncId, SatResult, Solver, SolverConfig, Sort, TermId, VarId};
 
 /// Re-runs an Unsat verdict under certified mode, in both pipeline
 /// configurations: the verdicts must agree, and the certified solver
@@ -324,14 +319,11 @@ fn random_uf_formulas_validate_against_sampling() {
 }
 
 /// Sliced 8-bit formulas get one verdict from every solver
-/// configuration: 1 or 2 workers, oneshot or incremental, certify off
-/// or on. With a zero conflict threshold every 2-worker query that
-/// reaches the SAT core races, and each certified Unsat must carry a
-/// checked proof.
+/// configuration: oneshot or incremental, certify off or on. Each
+/// certified Unsat must carry a checked proof.
 #[test]
-fn certified_racing_verdicts_agree_across_configs() {
+fn certified_verdicts_agree_across_configs() {
     let mut rng = XorShift64::new(0xc01e);
-    let mut races = 0;
     for case in 0..48u64 {
         let mut ctx = Ctx::new();
         let v = Vocab {
@@ -343,58 +335,46 @@ fn certified_racing_verdicts_agree_across_configs() {
             .map(|_| gen_bool(&mut ctx, &mut rng, &v, 4))
             .collect();
         let mut baseline: Option<bool> = None;
-        for workers in [1usize, 2] {
-            for incremental in [false, true] {
-                for certify in [false, true] {
-                    let parallel = ParallelConfig {
-                        workers,
-                        conflict_threshold: 0,
-                        budget: (workers > 1).then(|| Arc::new(CoreBudget::new(workers))),
-                        ..ParallelConfig::default()
-                    };
-                    let mut s = Solver::with_config(SolverConfig {
-                        incremental,
-                        certify,
-                        parallel,
-                        ..SolverConfig::default()
-                    });
-                    for &t in &assertions {
-                        s.assert(&mut ctx, t);
-                    }
-                    let r = s.check(&mut ctx);
-                    races += s.stats.races;
-                    if certify {
-                        assert_eq!(
-                            s.stats.certified_unsat, s.stats.unsat_queries,
-                            "case {case}: Unsat left uncertified (workers={workers} \
-                             incremental={incremental})"
-                        );
-                    }
-                    let sat = match r {
-                        SatResult::Sat(m) => {
-                            for &t in &assertions {
-                                assert!(
-                                    eval_bool(&ctx, t, &m.assignment),
-                                    "case {case}: model fails an assertion (workers={workers} \
-                                     incremental={incremental} certify={certify})"
-                                );
-                            }
-                            true
+        for incremental in [false, true] {
+            for certify in [false, true] {
+                let mut s = Solver::with_config(SolverConfig {
+                    incremental,
+                    certify,
+                    ..SolverConfig::default()
+                });
+                for &t in &assertions {
+                    s.assert(&mut ctx, t);
+                }
+                let r = s.check(&mut ctx);
+                if certify {
+                    assert_eq!(
+                        s.stats.certified_unsat, s.stats.unsat_queries,
+                        "case {case}: Unsat left uncertified (incremental={incremental})"
+                    );
+                }
+                let sat = match r {
+                    SatResult::Sat(m) => {
+                        for &t in &assertions {
+                            assert!(
+                                eval_bool(&ctx, t, &m.assignment),
+                                "case {case}: model fails an assertion \
+                                 (incremental={incremental} certify={certify})"
+                            );
                         }
-                        SatResult::Unsat => false,
-                        SatResult::Unknown => panic!("case {case}: unexpected unknown"),
-                    };
-                    match baseline {
-                        None => baseline = Some(sat),
-                        Some(b) => assert_eq!(
-                            b, sat,
-                            "case {case}: verdict flipped (workers={workers} \
-                             incremental={incremental} certify={certify})"
-                        ),
+                        true
                     }
+                    SatResult::Unsat => false,
+                    SatResult::Unknown => panic!("case {case}: unexpected unknown"),
+                };
+                match baseline {
+                    None => baseline = Some(sat),
+                    Some(b) => assert_eq!(
+                        b, sat,
+                        "case {case}: verdict flipped (incremental={incremental} \
+                         certify={certify})"
+                    ),
                 }
             }
         }
     }
-    assert!(races > 0, "no 2-worker query raced");
 }
