@@ -16,15 +16,14 @@
 //!
 //! With `--certify` the comparison changes axis: instead of incremental
 //! vs oneshot it measures the cost of the DRAT proof machinery, running
-//! the incremental pipeline four times — twice with proofs disabled
+//! the incremental pipeline three times — twice with proofs disabled
 //! (the second run is the measurement noise floor: the disabled path is
-//! one `Option` check, so any delta is jitter, not feature cost), once
-//! with proof logging only, and once fully certified (logging plus the
-//! independent backward checker re-deriving every Unsat) — plus a fifth,
-//! certified oneshot column, and writes per-handler overhead columns to
-//! `BENCH_PR5.json`. The run exits nonzero if certified incremental
-//! loses to certified oneshot on aggregate `total_ms`: incremental must
-//! win with certification on too.
+//! one `Option` check, so any delta is jitter, not feature cost) and
+//! once certified (proof logging plus the independent backward checker
+//! re-deriving every Unsat) — plus a fourth, certified oneshot column,
+//! and writes per-handler overhead columns to `BENCH_PR5.json`. The run
+//! exits nonzero if certified incremental loses to certified oneshot on
+//! aggregate `total_ms`: incremental must win with certification on too.
 //!
 //! With `--bmc` it benchmarks the bounded-model-checking phase instead
 //! of the handler proofs: the full `hk-bmc` harness registry (page
@@ -112,7 +111,6 @@ fn run(
     params: KernelParams,
     handlers: &[Sysno],
     incremental: bool,
-    proof_log: bool,
     certify: bool,
 ) -> VerifyReport {
     let mut config = VerifyConfig {
@@ -122,7 +120,6 @@ fn run(
         ..VerifyConfig::default()
     };
     config.solver.incremental = incremental;
-    config.solver.proof_log = proof_log;
     config.solver.certify = certify;
     config.solver.sat.max_conflicts = Some(MAX_CONFLICTS);
     config.solver.sat.max_solve_ms = Some(MAX_SOLVE_MS);
@@ -162,9 +159,10 @@ fn check_verdicts(a: &HandlerReport, b: &HandlerReport, what: &str) {
     }
 }
 
-/// The `--certify` axis: proof machinery disabled / logging / certified,
-/// all on the incremental pipeline, cold cache (certified runs bypass
-/// the query cache entirely, so a cold cache keeps the comparison fair).
+/// The `--certify` axis: proof machinery disabled / certified, both on
+/// the incremental pipeline, cold cache (certified runs bypass the query
+/// cache entirely, so a cold cache keeps the comparison fair), plus
+/// certified oneshot.
 fn run_certify_bench(
     image: &KernelImage,
     params: KernelParams,
@@ -176,47 +174,40 @@ fn run_certify_bench(
         "proof-machinery benchmark over {} handler(s), cold cache\n",
         handlers.len()
     );
-    let baseline = run(image, params, handlers, true, false, false);
-    let disabled = run(image, params, handlers, true, false, false);
-    let logged = run(image, params, handlers, true, true, false);
-    let certified = run(image, params, handlers, true, false, true);
-    let certified_oneshot = run(image, params, handlers, false, false, true);
+    let baseline = run(image, params, handlers, true, false);
+    let disabled = run(image, params, handlers, true, false);
+    let certified = run(image, params, handlers, true, true);
+    let certified_oneshot = run(image, params, handlers, false, true);
     println!(
-        "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
-        "handler", "base", "disabled", "log", "certify", "1shot cert", "log %", "cert %"
+        "{:<18} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "handler", "base", "disabled", "certify", "1shot cert", "cert %"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
     for (i, b) in baseline.handlers.iter().enumerate() {
-        let (d, l, c, o) = (
+        let (d, c, o) = (
             &disabled.handlers[i],
-            &logged.handlers[i],
             &certified.handlers[i],
             &certified_oneshot.handlers[i],
         );
-        check_verdicts(b, l, "proof logging");
         check_verdicts(b, c, "certification");
         check_verdicts(c, o, "certified oneshot");
-        let log_pct = pct(ms(l.time), ms(b.time));
         let cert_pct = pct(ms(c.time), ms(b.time));
         println!(
-            "{:<18} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>7.1}% {:>7.1}%",
+            "{:<18} {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>7.1}%",
             b.sysno.func_name(),
             ms(b.time),
             ms(d.time),
-            ms(l.time),
             ms(c.time),
             ms(o.time),
-            log_pct,
             cert_pct
         );
         json.push_str(&format!(
-            "    \"{}\": {{\"baseline\": {}, \"disabled_repeat\": {}, \"proof_log\": {}, \
+            "    \"{}\": {{\"baseline\": {}, \"disabled_repeat\": {}, \
              \"certify\": {}, \"certify_oneshot\": {}, \"disabled_delta_pct\": {:.3}, \
-             \"proof_log_overhead_pct\": {log_pct:.3}, \"certify_overhead_pct\": {cert_pct:.3}}}",
+             \"certify_overhead_pct\": {cert_pct:.3}}}",
             b.sysno.func_name(),
             b.to_json(),
             d.to_json(),
-            l.to_json(),
             c.to_json(),
             o.to_json(),
             pct(ms(d.time), ms(b.time))
@@ -227,24 +218,22 @@ fn run_certify_bench(
             "\n"
         });
     }
-    let (b_tot, d_tot, l_tot, c_tot, o_tot) = (
+    let (b_tot, d_tot, c_tot, o_tot) = (
         handler_sum_ms(&baseline),
         handler_sum_ms(&disabled),
-        handler_sum_ms(&logged),
         handler_sum_ms(&certified),
         handler_sum_ms(&certified_oneshot),
     );
     let disabled_pct = pct(d_tot, b_tot);
-    let log_pct = pct(l_tot, b_tot);
     let cert_pct = pct(c_tot, b_tot);
     let t = certified.totals();
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"baseline_total_ms\": {b_tot:.3},\n    \
-         \"disabled_total_ms\": {d_tot:.3},\n    \"proof_log_total_ms\": {l_tot:.3},\n    \
+         \"disabled_total_ms\": {d_tot:.3},\n    \
          \"certify_total_ms\": {c_tot:.3},\n    \"certify_oneshot_total_ms\": {o_tot:.3},\n    \
          \"baseline_wall_ms\": {bw:.3},\n    \"certify_wall_ms\": {cw:.3},\n    \
          \"certify_oneshot_wall_ms\": {ow:.3},\n    \"disabled_delta_pct\": {disabled_pct:.3},\n    \
-         \"proof_log_overhead_pct\": {log_pct:.3},\n    \"certify_overhead_pct\": {cert_pct:.3},\n    \
+         \"certify_overhead_pct\": {cert_pct:.3},\n    \
          \"certify_phases\": {}\n  }},\n  \
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"incremental\": true, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {features}}}\n}}\n",
@@ -259,9 +248,7 @@ fn run_certify_bench(
         "\naggregate total: {b_tot:.1}ms baseline, {d_tot:.1}ms disabled repeat \
          ({disabled_pct:+.1}% = noise floor)"
     );
-    println!(
-        "proof logging:   {l_tot:.1}ms ({log_pct:+.1}%), certified: {c_tot:.1}ms ({cert_pct:+.1}%)"
-    );
+    println!("certified:       {c_tot:.1}ms ({cert_pct:+.1}%)");
     println!("certified total: {c_tot:.1}ms incremental vs {o_tot:.1}ms oneshot");
     println!(
         "certified {}/{} unsat answers, {} proofs checked, {} DRAT steps, {} bytes, {:.1}ms checking",
@@ -274,9 +261,6 @@ fn run_certify_bench(
     );
     std::fs::write(out_path, &json).expect("write benchmark artifact");
     println!("\nwrote {}", out_path.display());
-    if smoke && log_pct > 10.0 {
-        eprintln!("warning: proof logging overhead above 10% ({log_pct:.1}%)");
-    }
     // The incremental-beats-oneshot criterion, with certification on: a
     // session-persistent checker verifies each lemma once per handler,
     // so certifying must not turn the shipping pipeline into the slower
@@ -431,8 +415,8 @@ fn main() {
     );
     // Incremental first: it is the fast side, so progress shows early
     // and a hung baseline handler is obvious from the trace.
-    let incremental = run(&image, params, handlers, true, false, false);
-    let oneshot = run(&image, params, handlers, false, false, false);
+    let incremental = run(&image, params, handlers, true, false);
+    let oneshot = run(&image, params, handlers, false, false);
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>12} {:>9}",
         "handler", "1shot enc", "incr enc", "1shot slv", "incr slv", "enc x"

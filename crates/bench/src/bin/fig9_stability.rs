@@ -86,23 +86,9 @@ fn main() {
         // feature against the stock configuration, so a heuristic
         // regression shows up as one row moving, not folklore.
         (
-            "A/B: activity reduction",
-            SatConfig {
-                reduce_strategy: hk_smt::ReduceStrategy::Activity,
-                ..SatConfig::default()
-            },
-        ),
-        (
             "A/B: no restarts",
             SatConfig {
                 restarts: false,
-                ..SatConfig::default()
-            },
-        ),
-        (
-            "A/B: chrono backtrack",
-            SatConfig {
-                chrono_backtrack: true,
                 ..SatConfig::default()
             },
         ),

@@ -16,7 +16,7 @@
 //! * [`bitblast`] — terms to CNF via Tseitin encoding;
 //! * [`sat`] — a CDCL SAT solver (watched literals, VSIDS, 1UIP learning,
 //!   Luby restarts, phase saving, LBD-driven learnt-clause reduction,
-//!   chronological backtracking, root-level GC and inprocessing);
+//!   root-level GC and inprocessing);
 //! * [`model`] — counterexample models, the raw material for the verifier's
 //!   test-case generation (paper §2.4);
 //! * [`solver`] — the front door tying the pipeline together;
@@ -60,7 +60,7 @@ pub mod term;
 
 pub use cache::{CacheStats, CachedVerdict, QueryCache, QueryKey};
 pub use model::Model;
-pub use sat::{ReduceStrategy, SatConfig, SatSolver};
+pub use sat::{SatConfig, SatSolver};
 pub use solver::{SatResult, Solver, SolverConfig};
 pub use stats::{SolverStats, Stats};
 pub use term::{BvBinOp, CmpOp, Ctx, FuncId, Sort, TermData, TermId, VarId};

@@ -61,22 +61,12 @@ pub struct SolverConfig {
     /// (assumption-based scopes, learnt-clause reuse). Disable to get
     /// the fresh-pipeline-per-check baseline.
     pub incremental: bool,
-    /// Garbage-collect the SAT core on every `pop`: after the scope's
-    /// activation literal is retired, clauses guarded by it are satisfied
-    /// at the root and reclaimed, so dead scopes never slow later
-    /// queries. Only meaningful in incremental mode.
-    pub scope_gc: bool,
-    /// On an `Unknown` caused by the conflict budget, retry the query
-    /// once with a 4x budget before reporting `Unknown`.
-    pub escalate_unknown: bool,
-    /// Log a binary-DRAT proof stream in the CDCL core (implied by
-    /// `certify`). On its own this only pays the logging cost and fills
-    /// the `proof_steps`/`proof_bytes` stats.
-    pub proof_log: bool,
     /// Re-check every `Unsat` answer with the independent proof checker
-    /// in `hk-proof` before returning it. A rejected proof panics, the
-    /// same way a bogus model fails validation on the `Sat` side. Certify
-    /// bypasses the query cache: a cached verdict has no proof to check.
+    /// in `hk-proof` before returning it. The CDCL core logs a
+    /// binary-DRAT proof stream exactly when this is on. A rejected proof
+    /// panics, the same way a bogus model fails validation on the `Sat`
+    /// side. Certify bypasses the query cache: a cached verdict has no
+    /// proof to check.
     pub certify: bool,
 }
 
@@ -87,9 +77,6 @@ impl Default for SolverConfig {
             skip_validation: false,
             cache: None,
             incremental: true,
-            scope_gc: true,
-            escalate_unknown: true,
-            proof_log: false,
             certify: false,
         }
     }
@@ -210,11 +197,11 @@ impl Solver {
 
     /// Closes the innermost scope, retracting its assertions. Already
     /// encoded clauses are permanently disabled via the scope's
-    /// activation literal and — with [`SolverConfig::scope_gc`] on —
-    /// physically reclaimed right away, together with every learnt clause
-    /// derived from them (all such clauses contain the retired `¬act` and
-    /// are now satisfied at the root). Learnt clauses that do not mention
-    /// the scope survive.
+    /// activation literal and physically reclaimed right away by
+    /// [`SatSolver::simplify`], together with every learnt clause derived
+    /// from them (all such clauses contain the retired `¬act` and are now
+    /// satisfied at the root), so dead scopes never slow later queries.
+    /// Learnt clauses that do not mention the scope survive.
     ///
     /// # Panics
     ///
@@ -223,9 +210,7 @@ impl Solver {
         let s = self.scopes.pop().expect("pop without matching push");
         if let (Some(engine), Some(act)) = (self.engine.as_mut(), s.act) {
             engine.sat.add_clause(&[-act]);
-            if self.config.scope_gc {
-                engine.sat.simplify();
-            }
+            engine.sat.simplify();
         }
     }
 
@@ -335,7 +320,7 @@ impl Solver {
         // one retry at 4x before being reported. In incremental mode the
         // retry resumes the same core (learnt clauses from the first
         // attempt included); in oneshot mode the pipeline re-runs.
-        if matches!(result, SatResult::Unknown) && self.config.escalate_unknown {
+        if matches!(result, SatResult::Unknown) {
             if let Some(base) = self.config.sat.max_conflicts {
                 let boosted = base.saturating_mul(4);
                 self.stats.escalations = 1;
@@ -404,7 +389,7 @@ impl Solver {
     fn check_incremental(&mut self, ctx: &mut Ctx, active: &[TermId]) -> SatResult {
         if self.engine.is_none() {
             let mut sat = SatSolver::with_config(self.config.sat.clone());
-            if self.config.proof_log || self.config.certify {
+            if self.config.certify {
                 // Before any clause exists, so the stream is complete.
                 sat.start_proof();
             }
@@ -581,7 +566,7 @@ impl Solver {
         // encode_time — mirroring the incremental path, where the delta
         // is loaded inside the encode window.
         let mut sat = SatSolver::with_config(self.config.sat.clone());
-        if self.config.proof_log || self.config.certify {
+        if self.config.certify {
             sat.start_proof();
         }
         sat.reserve_vars(num_vars);

@@ -2,12 +2,12 @@
 //! `SatSolver` level, on randomized CNF instances (vendored PRNG, fully
 //! offline):
 //!
-//! * **Verdict agreement**: every instance is solved under the full
-//!   configuration matrix {activity, LBD reduction} x {restarts on/off}
-//!   x {oneshot, incremental push/pop via an activation literal}, and
-//!   all verdicts must agree with a reference run. Sat answers are
-//!   validated against the clause set; Unsat answers must certify via
-//!   the independent `hk_proof::check_proof`.
+//! * **Verdict agreement**: every instance is solved under the
+//!   configuration matrix {restarts on/off} x {oneshot, incremental
+//!   push/pop via an activation literal}, with clause-DB reduction on an
+//!   aggressive schedule, and all verdicts must agree with a reference
+//!   run. Sat answers are validated against the clause set; Unsat
+//!   answers must certify via the independent `hk_proof::check_proof`.
 //! * **Proof integrity under deletion**: randomized incremental
 //!   sessions with aggressively scheduled clause-DB reduction, scope
 //!   GC, and inprocessing exercise every DRAT `delete` path; the
@@ -22,7 +22,7 @@ mod common;
 use common::XorShift64;
 use hk_proof::{check_proof, parse_proof, ProofSession, ProofWriter, StepKind};
 use hk_smt::sat::SatOutcome;
-use hk_smt::{ReduceStrategy, SatConfig, SatSolver};
+use hk_smt::{SatConfig, SatSolver};
 
 /// A random CNF instance over `nvars` variables: mostly ternary clauses
 /// with some binaries mixed in, around the 3-SAT hardness ratio so both
@@ -147,21 +147,17 @@ fn solve_incremental(clauses: &[Vec<i32>], nvars: u64, config: SatConfig, case: 
 }
 
 fn matrix_configs() -> Vec<SatConfig> {
-    let mut configs = Vec::new();
-    for strategy in [ReduceStrategy::Activity, ReduceStrategy::Lbd] {
-        for restarts in [true, false] {
-            configs.push(SatConfig {
-                reduce_strategy: strategy,
-                restarts,
-                // Aggressive schedule so reduction actually fires on
-                // instances this small.
-                reduce_base: 50,
-                reduce_incr: 25,
-                ..SatConfig::default()
-            });
-        }
-    }
-    configs
+    [true, false]
+        .into_iter()
+        .map(|restarts| SatConfig {
+            restarts,
+            // Aggressive schedule so reduction actually fires on
+            // instances this small.
+            reduce_base: 50,
+            reduce_incr: 25,
+            ..SatConfig::default()
+        })
+        .collect()
 }
 
 #[test]

@@ -321,20 +321,22 @@ fn certify_bypasses_the_query_cache() {
 }
 
 #[test]
-fn proof_log_without_certify_fills_counters_but_checks_nothing() {
-    let mut ctx = Ctx::new();
-    let mut s = hk_smt::Solver::with_config(SolverConfig {
-        proof_log: true,
-        ..SolverConfig::default()
-    });
-    for t in unsat_vc(&mut ctx) {
-        s.assert(&mut ctx, t);
+fn uncertified_unsat_logs_no_proof() {
+    for incremental in [false, true] {
+        let mut ctx = Ctx::new();
+        let mut s = hk_smt::Solver::with_config(SolverConfig {
+            incremental,
+            ..SolverConfig::default()
+        });
+        for t in unsat_vc(&mut ctx) {
+            s.assert(&mut ctx, t);
+        }
+        assert!(s.check(&mut ctx).is_unsat());
+        assert_eq!(s.stats.proof_steps, 0, "incremental={incremental}");
+        assert_eq!(s.stats.proof_bytes, 0, "incremental={incremental}");
+        assert_eq!(s.stats.proofs_checked, 0, "incremental={incremental}");
+        assert_eq!(s.stats.certified_unsat, 0, "incremental={incremental}");
     }
-    assert!(s.check(&mut ctx).is_unsat());
-    assert!(s.stats.proof_steps > 0);
-    assert!(s.stats.proof_bytes > 0);
-    assert_eq!(s.stats.proofs_checked, 0);
-    assert_eq!(s.stats.certified_unsat, 0);
 }
 
 #[test]

@@ -358,64 +358,54 @@ fn assert_pigeonhole(ctx: &mut Ctx, s: &mut Solver, tag: &str, n: u32, m: u32) {
 /// The regression test for the PR 2 incremental slowdown: a scope that
 /// learns a large clause database is popped, and scope-local GC must
 /// actually reclaim it so later queries in the session don't pay for
-/// retired garbage. With `scope_gc` disabled the counter stays zero —
-/// the knob, not luck, is what reclaims the clauses.
+/// retired garbage.
 #[test]
 fn popped_scopes_are_garbage_collected() {
-    for scope_gc in [true, false] {
-        let mut ctx = Ctx::new();
-        let mut s = Solver::with_config(SolverConfig {
-            incremental: true,
-            scope_gc,
-            ..SolverConfig::default()
-        });
-        let x = ctx.var("x", Sort::Bv(8));
-        let c5 = ctx.bv_const(8, 5);
-        let base = ctx.ult(x, c5);
-        s.assert(&mut ctx, base);
+    let mut ctx = Ctx::new();
+    let mut s = Solver::with_config(SolverConfig {
+        incremental: true,
+        ..SolverConfig::default()
+    });
+    let x = ctx.var("x", Sort::Bv(8));
+    let c5 = ctx.bv_const(8, 5);
+    let base = ctx.ult(x, c5);
+    s.assert(&mut ctx, base);
 
-        // Conflict-heavy scope: refuting PHP(7,6) learns many clauses.
-        s.push();
-        assert_pigeonhole(&mut ctx, &mut s, "a", 7, 6);
-        assert!(s.check(&mut ctx).is_unsat());
-        let scope_conflicts = s.stats.conflicts;
-        assert!(
-            scope_conflicts > 50,
-            "pigeonhole scope was not conflict-heavy ({scope_conflicts} conflicts)"
-        );
-        s.pop();
+    // Conflict-heavy scope: refuting PHP(7,6) learns many clauses.
+    s.push();
+    assert_pigeonhole(&mut ctx, &mut s, "a", 7, 6);
+    assert!(s.check(&mut ctx).is_unsat());
+    let scope_conflicts = s.stats.conflicts;
+    assert!(
+        scope_conflicts > 50,
+        "pigeonhole scope was not conflict-heavy ({scope_conflicts} conflicts)"
+    );
+    s.pop();
 
-        // The pop retires the scope's activation literal; the next check
-        // absorbs the GC delta. Everything the scope asserted — guarded
-        // problem clauses and learnt clauses alike — is now dead.
-        assert!(s.check(&mut ctx).is_sat());
-        if scope_gc {
-            assert!(
-                s.stats.scope_gc_clauses > 100,
-                "scope GC reclaimed only {} clauses",
-                s.stats.scope_gc_clauses
-            );
-        } else {
-            assert_eq!(s.stats.scope_gc_clauses, 0, "GC fired with scope_gc off");
-        }
+    // The pop retires the scope's activation literal; the next check
+    // absorbs the GC delta. Everything the scope asserted — guarded
+    // problem clauses and learnt clauses alike — is now dead.
+    assert!(s.check(&mut ctx).is_sat());
+    assert!(
+        s.stats.scope_gc_clauses > 100,
+        "scope GC reclaimed only {} clauses",
+        s.stats.scope_gc_clauses
+    );
 
-        // Hygiene: a later trivial scoped query must not pay for the
-        // popped scope. This is the assertion that would have caught
-        // the PR 2 regression (retained learnt clauses poisoning
-        // subsequent solves).
-        s.push();
-        let c3 = ctx.bv_const(8, 3);
-        let probe = ctx.eq(x, c3);
-        s.assert(&mut ctx, probe);
-        assert!(s.check(&mut ctx).is_sat());
-        if scope_gc {
-            assert!(
-                s.stats.conflicts < scope_conflicts / 2,
-                "post-pop probe still paid {} conflicts (scope had {})",
-                s.stats.conflicts,
-                scope_conflicts
-            );
-        }
-        s.pop();
-    }
+    // Hygiene: a later trivial scoped query must not pay for the
+    // popped scope. This is the assertion that would have caught the
+    // PR 2 regression (retained learnt clauses poisoning subsequent
+    // solves).
+    s.push();
+    let c3 = ctx.bv_const(8, 3);
+    let probe = ctx.eq(x, c3);
+    s.assert(&mut ctx, probe);
+    assert!(s.check(&mut ctx).is_sat());
+    assert!(
+        s.stats.conflicts < scope_conflicts / 2,
+        "post-pop probe still paid {} conflicts (scope had {})",
+        s.stats.conflicts,
+        scope_conflicts
+    );
+    s.pop();
 }
