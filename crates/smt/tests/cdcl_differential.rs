@@ -16,6 +16,10 @@
 //! * **Session agreement**: every Unsat of an incremental session is
 //!   certified through one `hk_proof::ProofSession` kept across the
 //!   session, and must match a fresh `check_proof` of the same bytes.
+//! * **Pinned search trajectory**: the summed search counters and a
+//!   hash of the proof streams of a fixed corpus must equal constants,
+//!   so a change meant to leave the search alone (a layout or a speed
+//!   change) is shown to make exactly the same decisions.
 
 mod common;
 
@@ -297,4 +301,109 @@ fn corrupted_deletion_record_is_rejected() {
         check_proof(w.bytes()).is_err(),
         "checker accepted a deletion of a clause that was never added"
     );
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// A larger activation-guarded session: pigeonhole 8 into 7, then two
+/// scopes of random 3-CNF over 150 variables (one Sat, one Unsat), each
+/// retired with a unit and scope GC. The reduction schedule is shrunk so
+/// learnt clauses above the glue cut are actually evicted.
+fn large_session() -> SatSolver {
+    let mut s = SatSolver::with_config(SatConfig {
+        reduce_base: 200,
+        reduce_incr: 50,
+        ..SatConfig::default()
+    });
+    s.start_proof();
+    let (n, m) = (8i32, 7i32);
+    let v = |i: i32, j: i32| i * m + j + 1;
+    let php_act = n * m + 1;
+    for i in 0..n {
+        let mut c: Vec<i32> = (0..m).map(|j| v(i, j)).collect();
+        c.push(-php_act);
+        s.add_clause(&c);
+    }
+    for j in 0..m {
+        for a in 0..n {
+            for b in (a + 1)..n {
+                s.add_clause(&[-v(a, j), -v(b, j), -php_act]);
+            }
+        }
+    }
+    assert_eq!(s.solve_with_assumptions(&[php_act]), SatOutcome::Unsat);
+    s.add_clause(&[-php_act]);
+    s.simplify();
+    // Random 3-CNF near the threshold ratio (4.26): hard enough at 150
+    // variables for thousands of conflicts per scope.
+    let mut rng = XorShift64::new(0x3c_f001);
+    for scope in 1..=2 {
+        let act = php_act + 150 + scope;
+        for _ in 0..640 {
+            let mut c = vec![-act];
+            while c.len() < 4 {
+                let v = php_act + 1 + rng.below(150) as i32;
+                if !c.iter().any(|&l| l.abs() == v) {
+                    c.push(if rng.chance(1, 2) { v } else { -v });
+                }
+            }
+            s.add_clause(&c);
+        }
+        s.solve_with_assumptions(&[act]);
+        s.add_clause(&[-act]);
+        s.simplify();
+    }
+    s
+}
+
+/// The search path itself, not only its verdicts: the summed counters
+/// and the proof streams of `random_session` for seeds 1..=25 plus
+/// `large_session` must equal the constants below. A change that means
+/// to alter the search (a heuristic, a schedule, literal order inside a
+/// clause) updates them and says so; a layout or speed change must not.
+#[test]
+fn search_trajectory_is_pinned() {
+    let mut total = [0u64; 11];
+    let mut proof_bytes = 0u64;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let sessions = (1..=25u64)
+        .map(random_session)
+        .chain(std::iter::once(large_session()));
+    for s in sessions {
+        let st = s.stats;
+        let counters = [
+            st.conflicts,
+            st.decisions,
+            st.propagations,
+            st.restarts,
+            st.db_reductions,
+            st.learnts_removed,
+            st.gc_clauses,
+            st.probed_literals,
+            st.probe_units,
+            st.subsumed,
+            st.strengthened,
+        ];
+        for (t, c) in total.iter_mut().zip(counters) {
+            *t += c;
+        }
+        let bytes = s.proof().expect("proof logging was started").bytes();
+        proof_bytes += bytes.len() as u64;
+        hash = fnv1a(hash, bytes);
+    }
+    assert_eq!(
+        total,
+        [10_655, 13_144, 221_081, 51, 35, 7_468, 15_966, 24, 5, 140, 277],
+        "summed [conflicts, decisions, propagations, restarts, db_reductions, \
+         learnts_removed, gc_clauses, probed_literals, probe_units, subsumed, strengthened]"
+    );
+    assert_eq!(proof_bytes, 593_802, "total proof bytes");
+    assert_eq!(hash, 0xd88a_fa65_ce78_a61e, "FNV-1a of the proof streams");
 }
