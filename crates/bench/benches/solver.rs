@@ -1,34 +1,51 @@
 //! Timing benches for the SMT substrate: SAT on structured and random
-//! instances, and bit-blasting of the operators the kernel leans on.
-//! Runs offline with no harness dependencies
-//! (`cargo bench -p hk-bench --bench solver`).
+//! instances, an incremental SAT session shaped like the SMT layer's, and
+//! bit-blasting of the operators the kernel leans on. Runs offline with
+//! no harness dependencies (`cargo bench -p hk-bench --bench solver`).
+//!
+//! `sat_incremental_session` prints its conflict count and rate next to
+//! the time, so a change to the CDCL core can be read in seconds: the
+//! same count on both sides means the same search, and the rate is then
+//! the speed of the core alone.
 
 use hk_bench::{bench_loop, XorShift64};
-use hk_smt::{Ctx, SatResult, Solver, Sort};
+use hk_smt::{Ctx, SatResult, SatSolver, Solver, Sort};
 
-fn pigeonhole(n: i32) -> bool {
+/// Adds pigeonhole `n` into `n - 1` to `s`, each clause extended by the
+/// literals of `guard`.
+fn add_pigeonhole(s: &mut SatSolver, n: i32, guard: &[i32]) {
     let m = n - 1;
     let v = |i: i32, j: i32| i * m + j + 1;
-    let mut s = hk_smt::SatSolver::new();
     for i in 0..n {
-        let c: Vec<i32> = (0..m).map(|j| v(i, j)).collect();
+        let c: Vec<i32> = (0..m)
+            .map(|j| v(i, j))
+            .chain(guard.iter().copied())
+            .collect();
         s.add_clause(&c);
     }
     for j in 0..m {
         for a in 0..n {
             for b in (a + 1)..n {
-                s.add_clause(&[-v(a, j), -v(b, j)]);
+                let c: Vec<i32> = [-v(a, j), -v(b, j)]
+                    .into_iter()
+                    .chain(guard.iter().copied())
+                    .collect();
+                s.add_clause(&c);
             }
         }
     }
-    matches!(s.solve(), hk_smt::sat::SatOutcome::Unsat)
 }
 
-/// Random 3-CNF at the satisfiable side of the phase transition.
-fn random_3cnf(rng: &mut XorShift64, vars: u32, clauses: usize) {
-    let mut s = hk_smt::SatSolver::new();
-    s.reserve_vars(vars);
-    let mut ok = true;
+/// Adds `clauses` random 3-literal clauses over `vars` variables to `s`,
+/// each extended by the literals of `guard`. Returns `false` if the
+/// formula became trivially unsatisfiable.
+fn add_random_3cnf(
+    s: &mut SatSolver,
+    rng: &mut XorShift64,
+    vars: u32,
+    clauses: usize,
+    guard: &[i32],
+) -> bool {
     for _ in 0..clauses {
         let c: Vec<i32> = (0..3)
             .map(|_| {
@@ -39,15 +56,57 @@ fn random_3cnf(rng: &mut XorShift64, vars: u32, clauses: usize) {
                     v
                 }
             })
+            .chain(guard.iter().copied())
             .collect();
         if !s.add_clause(&c) {
-            ok = false;
-            break;
+            return false;
         }
     }
-    if ok {
+    true
+}
+
+fn pigeonhole(n: i32) -> bool {
+    let mut s = SatSolver::new();
+    add_pigeonhole(&mut s, n, &[]);
+    matches!(s.solve(), hk_smt::sat::SatOutcome::Unsat)
+}
+
+/// Random 3-CNF at the satisfiable side of the phase transition.
+fn random_3cnf(rng: &mut XorShift64, vars: u32, clauses: usize) {
+    let mut s = SatSolver::new();
+    s.reserve_vars(vars);
+    if add_random_3cnf(&mut s, rng, vars, clauses, &[]) {
         std::hint::black_box(s.solve());
     }
+}
+
+/// One incremental session of the shape the SMT layer gives the core:
+/// activation-guarded scopes of random 3-CNF near the threshold ratio and
+/// of pigeonhole, each solved under its activation literal and then
+/// retired with the unit `-act` and root-level GC (`simplify`), on the
+/// default `SatConfig`. Returns the session's conflicts.
+fn sat_incremental_session() -> u64 {
+    const VARS: u32 = 200;
+    let mut rng = XorShift64::new(0x5a7_5e55);
+    let mut s = SatSolver::new();
+    for scope in 0..6 {
+        let act = VARS as i32 + 1 + scope;
+        if scope % 3 == 2 {
+            add_pigeonhole(&mut s, 8, &[-act]);
+        } else {
+            add_random_3cnf(
+                &mut s,
+                &mut rng,
+                VARS,
+                (VARS as f64 * 4.26) as usize,
+                &[-act],
+            );
+        }
+        std::hint::black_box(s.solve_with_assumptions(&[act]));
+        s.add_clause(&[-act]);
+        s.simplify();
+    }
+    s.stats.conflicts
 }
 
 fn main() {
@@ -57,6 +116,15 @@ fn main() {
         let mut rng = XorShift64::new(42);
         random_3cnf(&mut rng, 60, 240);
     });
+    let mut conflicts = 0;
+    let best = bench_loop("sat_incremental_session", 3, || {
+        conflicts = sat_incremental_session();
+    });
+    println!(
+        "{:<28} {conflicts} conflicts, {:.0} conflicts/s at the min",
+        "",
+        conflicts as f64 / best.as_secs_f64()
+    );
 
     println!("== bitblast ==");
     bench_loop("mul64_equation", 5, || {

@@ -62,8 +62,9 @@ impl XorShift64 {
 }
 
 /// Times `iters` runs of `f` and prints min/mean per-iteration wall
-/// clock — the offline stand-in for the Criterion harness.
-pub fn bench_loop<F: FnMut()>(label: &str, iters: u32, mut f: F) {
+/// clock — the offline stand-in for the Criterion harness. Returns the
+/// min.
+pub fn bench_loop<F: FnMut()>(label: &str, iters: u32, mut f: F) -> std::time::Duration {
     let mut best = std::time::Duration::MAX;
     let total_start = std::time::Instant::now();
     for _ in 0..iters {
@@ -77,6 +78,7 @@ pub fn bench_loop<F: FnMut()>(label: &str, iters: u32, mut f: F) {
         format!("min {:.3?}", best),
         format!("mean {:.3?}", mean),
     );
+    best
 }
 
 /// Prints a row of a paper-vs-measured table.

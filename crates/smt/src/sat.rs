@@ -30,6 +30,11 @@
 //! *because of* its assumptions, the responsible subset is recovered via
 //! final-conflict analysis ([`SatSolver::failed_assumptions`]).
 //!
+//! Every clause lives in one flat `u32` arena (a small header, then the
+//! literals); a clause reference is the header's offset, so propagation
+//! reaches a clause's literals with one load, and only `simplify` moves
+//! clauses.
+//!
 //! Each `solve*` call is one sequential search on the calling thread.
 //! Verification gets its parallelism one level up, where the driver
 //! verifies handlers on a thread pool, one solver per handler (paper §6.3).
@@ -139,16 +144,174 @@ pub struct SatStats {
     pub strengthened: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<u32>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
+// Clause header layout, in arena words from the clause reference: the
+// `f64` activity (low word, high word), the LBD, then the length with the
+// learnt and deleted flags in its top bits. The literals follow.
+const H_ACTIVITY: usize = 0;
+const H_LBD: usize = 2;
+const H_LEN: usize = 3;
+const HEADER: usize = 4;
+const LEARNT: u32 = 1 << 31;
+const DELETED: u32 = 1 << 30;
+const LEN_MASK: u32 = DELETED - 1;
+
+/// Every clause in one flat `u32` arena, in allocation order. A clause
+/// reference (`cref`) is the arena offset of the clause's header, and the
+/// literals follow the header, so propagation reaches them with one load
+/// and no pointer to chase.
+///
+/// Deletion only sets the header's flag; the tombstone keeps its slot
+/// until [`ClauseArena::compact`], which `simplify` alone calls, at level
+/// 0 with every reason cleared, since it moves clauses to new offsets.
+#[derive(Debug, Clone, Default)]
+struct ClauseArena {
+    arena: Vec<u32>,
+    /// Clauses allocated since the last compaction, tombstones included
+    /// (the clause count the inprocessing schedule is written in).
+    slots: usize,
+}
+
+impl ClauseArena {
+    /// Appends a clause and returns its reference.
+    fn alloc(&mut self, lits: &[u32], learnt: bool, lbd: u32) -> u32 {
+        let cref = self.arena.len();
+        assert!(
+            cref < NO_REASON as usize && lits.len() <= LEN_MASK as usize,
+            "clause arena exceeds 32-bit offsets"
+        );
+        let flags = if learnt { LEARNT } else { 0 };
+        self.arena
+            .extend_from_slice(&[0, 0, lbd, lits.len() as u32 | flags]);
+        self.arena.extend_from_slice(lits);
+        self.slots += 1;
+        cref as u32
+    }
+
+    #[inline]
+    fn len(&self, cref: u32) -> usize {
+        (self.arena[cref as usize + H_LEN] & LEN_MASK) as usize
+    }
+
+    #[inline]
+    fn lits(&self, cref: u32) -> &[u32] {
+        let start = cref as usize + HEADER;
+        &self.arena[start..start + self.len(cref)]
+    }
+
+    #[inline]
+    fn lits_mut(&mut self, cref: u32) -> &mut [u32] {
+        let start = cref as usize + HEADER;
+        let len = self.len(cref);
+        &mut self.arena[start..start + len]
+    }
+
+    fn learnt(&self, cref: u32) -> bool {
+        self.arena[cref as usize + H_LEN] & LEARNT != 0
+    }
+
+    fn deleted(&self, cref: u32) -> bool {
+        self.arena[cref as usize + H_LEN] & DELETED != 0
+    }
+
+    fn set_deleted(&mut self, cref: u32) {
+        self.arena[cref as usize + H_LEN] |= DELETED;
+    }
+
     /// Literal block distance (glue) at learning time, refreshed downward
     /// whenever the clause participates in conflict analysis. Zero for
     /// problem clauses (never consulted).
-    lbd: u32,
+    fn lbd(&self, cref: u32) -> u32 {
+        self.arena[cref as usize + H_LBD]
+    }
+
+    fn set_lbd(&mut self, cref: u32, lbd: u32) {
+        self.arena[cref as usize + H_LBD] = lbd;
+    }
+
+    fn activity(&self, cref: u32) -> f64 {
+        let at = cref as usize + H_ACTIVITY;
+        f64::from_bits(self.arena[at] as u64 | (self.arena[at + 1] as u64) << 32)
+    }
+
+    fn set_activity(&mut self, cref: u32, activity: f64) {
+        let at = cref as usize + H_ACTIVITY;
+        let bits = activity.to_bits();
+        self.arena[at] = bits as u32;
+        self.arena[at + 1] = (bits >> 32) as u32;
+    }
+
+    /// Multiplies every clause's activity by `factor`.
+    fn scale_activities(&mut self, factor: f64) {
+        let mut at = 0;
+        while at < self.arena.len() {
+            let cref = at as u32;
+            self.set_activity(cref, self.activity(cref) * factor);
+            at += HEADER + self.len(cref);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.arena.is_empty()
+    }
+
+    /// Every clause reference, tombstones included, in arena order.
+    fn crefs(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if at >= self.arena.len() {
+                return None;
+            }
+            let cref = at as u32;
+            at += HEADER + self.len(cref);
+            Some(cref)
+        })
+    }
+
+    /// Drops every tombstone and every clause `keep` rejects, sliding the
+    /// survivors down in place, so arena order stays allocation order.
+    /// Every reference into the arena is stale afterwards.
+    fn compact(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
+        let (mut read, mut write, mut kept) = (0, 0, 0);
+        while read < self.arena.len() {
+            let cref = read as u32;
+            let end = read + HEADER + self.len(cref);
+            if !self.deleted(cref) && keep(self.lits(cref)) {
+                self.arena.copy_within(read..end, write);
+                write += end - read;
+                kept += 1;
+            }
+            read = end;
+        }
+        self.arena.truncate(write);
+        self.slots = kept;
+    }
+}
+
+/// Per-decision-level stamps for LBD computation.
+#[derive(Debug, Clone, Default)]
+struct LevelStamps {
+    seen: Vec<u64>,
+    stamp: u64,
+}
+
+impl LevelStamps {
+    /// Literal block distance: the number of distinct decision levels
+    /// among a clause's (currently assigned) literals.
+    fn lbd(&mut self, level: &[u32], lits: &[u32]) -> u32 {
+        self.stamp += 1;
+        let mut glue = 0u32;
+        for &l in lits {
+            let lvl = level[lit_var(l)] as usize;
+            if self.seen.len() <= lvl {
+                self.seen.resize(lvl + 1, 0);
+            }
+            if self.seen[lvl] != self.stamp {
+                self.seen[lvl] = self.stamp;
+                glue += 1;
+            }
+        }
+        glue
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +339,7 @@ enum Branch {
 pub struct SatSolver {
     config: SatConfig,
     ok: bool,
-    clauses: Vec<Clause>,
+    db: ClauseArena,
     watches: Vec<Vec<Watch>>,
     assigns: Vec<u8>,
     polarity: Vec<bool>,
@@ -202,8 +365,7 @@ pub struct SatSolver {
     /// itself is preserved as a unit lemma, or later RUP checks lose it.
     units_logged: usize,
     /// Level-stamp scratch for LBD computation.
-    lbd_seen: Vec<u64>,
-    lbd_stamp: u64,
+    lbd_stamps: LevelStamps,
     /// Model snapshot from the last `Sat` answer (the trail itself is
     /// unwound to level 0 before `solve*` returns).
     model: Vec<u8>,
@@ -252,13 +414,28 @@ fn lit_sign(l: u32) -> bool {
     l & 1 == 1
 }
 
+/// Value of literal `l` under `assigns`. A free function, so the
+/// propagation loop can read assignments while it holds a clause's
+/// literals mutably.
+#[inline]
+fn lit_value(assigns: &[u8], l: u32) -> u8 {
+    let a = assigns[lit_var(l)];
+    if a == UNDEF {
+        UNDEF
+    } else if lit_sign(l) {
+        a ^ 1
+    } else {
+        a
+    }
+}
+
 impl SatSolver {
     /// Creates a solver with the given heuristics.
     pub fn with_config(config: SatConfig) -> Self {
         SatSolver {
             config,
             ok: true,
-            clauses: Vec::new(),
+            db: ClauseArena::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             polarity: Vec::new(),
@@ -276,8 +453,7 @@ impl SatSolver {
             conflicts_at_reduce: 0,
             inprocess_at: 1,
             units_logged: 0,
-            lbd_seen: Vec::new(),
-            lbd_stamp: 0,
+            lbd_stamps: LevelStamps::default(),
             model: Vec::new(),
             conflict: Vec::new(),
             stats: SatStats::default(),
@@ -289,7 +465,7 @@ impl SatSolver {
     /// clause is added: a proof that misses clauses cannot check.
     pub fn start_proof(&mut self) {
         assert!(
-            self.clauses.is_empty() && self.trail.is_empty(),
+            self.db.is_empty() && self.trail.is_empty(),
             "start_proof on a solver that already holds clauses"
         );
         self.proof = Some(ProofWriter::new());
@@ -387,15 +563,15 @@ impl SatSolver {
                 self.ok
             }
             _ => {
-                self.attach_clause(out, false, 0);
+                self.attach_clause(&out, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<u32>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, lits: &[u32], learnt: bool, lbd: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as u32;
+        let cref = self.db.alloc(lits, learnt, lbd);
         self.watches[lit_neg(lits[0]) as usize].push(Watch {
             cref,
             blocker: lits[1],
@@ -404,26 +580,12 @@ impl SatSolver {
             cref,
             blocker: lits[0],
         });
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd,
-        });
         cref
     }
 
     #[inline]
     fn value_lit(&self, l: u32) -> u8 {
-        let a = self.assigns[lit_var(l)];
-        if a == UNDEF {
-            UNDEF
-        } else if lit_sign(l) {
-            a ^ 1
-        } else {
-            a
-        }
+        lit_value(&self.assigns, l)
     }
 
     #[inline]
@@ -458,21 +620,18 @@ impl SatSolver {
                 let w = ws[i];
                 i += 1;
                 // Blocker shortcut.
-                if self.value_lit(w.blocker) == TRUE {
+                if lit_value(&self.assigns, w.blocker) == TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let cref = w.cref as usize;
+                let lits = self.db.lits_mut(w.cref);
                 // The false literal must be at position 1.
-                {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == lit_neg(p) {
-                        c.lits.swap(0, 1);
-                    }
+                if lits[0] == lit_neg(p) {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.value_lit(first) == TRUE {
+                let first = lits[0];
+                if first != w.blocker && lit_value(&self.assigns, first) == TRUE {
                     ws[j] = Watch {
                         cref: w.cref,
                         blocker: first,
@@ -481,11 +640,10 @@ impl SatSolver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref].lits[k];
-                    if self.value_lit(lk) != FALSE {
-                        self.clauses[cref].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if lit_value(&self.assigns, lk) != FALSE {
+                        lits.swap(1, k);
                         self.watches[lit_neg(lk) as usize].push(Watch {
                             cref: w.cref,
                             blocker: first,
@@ -499,7 +657,7 @@ impl SatSolver {
                     blocker: first,
                 };
                 j += 1;
-                if self.value_lit(first) == FALSE {
+                if lit_value(&self.assigns, first) == FALSE {
                     // Conflict: copy remaining watches back and bail.
                     while i < ws.len() {
                         ws[j] = ws[i];
@@ -535,36 +693,15 @@ impl SatSolver {
     }
 
     fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        if !c.learnt {
+        if !self.db.learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
-            }
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > 1e20 {
+            self.db.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
-    }
-
-    /// Literal block distance: the number of distinct decision levels
-    /// among a clause's (currently assigned) literals.
-    fn clause_lbd(&mut self, lits: &[u32]) -> u32 {
-        self.lbd_stamp += 1;
-        let stamp = self.lbd_stamp;
-        let mut glue = 0u32;
-        for &l in lits {
-            let lvl = self.level[lit_var(l)] as usize;
-            if self.lbd_seen.len() <= lvl {
-                self.lbd_seen.resize(lvl + 1, 0);
-            }
-            if self.lbd_seen[lvl] != stamp {
-                self.lbd_seen[lvl] = stamp;
-                glue += 1;
-            }
-        }
-        glue
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
@@ -576,18 +713,19 @@ impl SatSolver {
         let mut index = self.trail.len();
         loop {
             self.bump_clause(confl);
-            let lits = self.clauses[confl as usize].lits.clone();
             // A learnt clause re-used in analysis gets its glue refreshed
             // (downward only), Glucose-style: clauses that keep proving
             // useful at low glue are the ones reduction should protect.
-            if self.clauses[confl as usize].learnt {
-                let glue = self.clause_lbd(&lits);
-                let c = &mut self.clauses[confl as usize];
-                if glue < c.lbd {
-                    c.lbd = glue;
+            if self.db.learnt(confl) {
+                let glue = self.lbd_stamps.lbd(&self.level, self.db.lits(confl));
+                if glue < self.db.lbd(confl) {
+                    self.db.set_lbd(confl, glue);
                 }
             }
-            for &q in &lits {
+            // Indexed: `bump_var` below takes `&mut self`, so the
+            // clause's literals are read one at a time, not borrowed.
+            for k in 0..self.db.len(confl) {
+                let q = self.db.lits(confl)[k];
                 // Skip the literal being resolved on (by value, so the
                 // watched-literal positions are never disturbed).
                 if Some(q) == p {
@@ -647,7 +785,7 @@ impl SatSolver {
             minimized.swap(1, max_i);
             bt = self.level[lit_var(minimized[1])];
         }
-        let lbd = self.clause_lbd(&minimized);
+        let lbd = self.lbd_stamps.lbd(&self.level, &minimized);
         (minimized, bt, lbd)
     }
 
@@ -659,7 +797,7 @@ impl SatSolver {
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize].lits.iter().all(|&q| {
+        self.db.lits(r).iter().all(|&q| {
             let qv = lit_var(q);
             qv == v || self.seen[qv] || self.level[qv] == 0
         })
@@ -703,12 +841,12 @@ impl SatSolver {
 
     /// Marks a clause deleted, logging the deletion to the proof stream.
     fn delete_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        debug_assert!(!c.deleted);
-        c.deleted = true;
+        debug_assert!(!self.db.deleted(cref));
+        self.db.set_deleted(cref);
         if let Some(pr) = self.proof.as_mut() {
-            let lits: Vec<i32> = self.clauses[cref as usize]
-                .lits
+            let lits: Vec<i32> = self
+                .db
+                .lits(cref)
                 .iter()
                 .map(|&l| lit_to_dimacs(l))
                 .collect();
@@ -721,49 +859,96 @@ impl SatSolver {
         for w in &mut self.watches {
             w.clear();
         }
-        for cref in 0..self.clauses.len() as u32 {
-            let c = &self.clauses[cref as usize];
-            if c.deleted {
+        for cref in self.db.crefs() {
+            if self.db.deleted(cref) {
                 continue;
             }
-            let (l0, l1) = (c.lits[0], c.lits[1]);
+            let lits = self.db.lits(cref);
+            let (l0, l1) = (lits[0], lits[1]);
             self.watches[lit_neg(l0) as usize].push(Watch { cref, blocker: l1 });
             self.watches[lit_neg(l1) as usize].push(Watch { cref, blocker: l0 });
         }
+        debug_assert_eq!(
+            self.arena_fault(),
+            None,
+            "clause arena after a watch rebuild"
+        );
+    }
+
+    /// The first inconsistency between the clause arena and the watch
+    /// lists, if any: headers that do not parse exactly to the arena's
+    /// end, a slot counter that disagrees with the header count, or a
+    /// watch whose cref is not the header of a live clause watched on
+    /// the negation of one of its first two literals. (A cref that points
+    /// into literals reads a literal as a length.) Only debug builds run
+    /// it, after every watch rebuild.
+    fn arena_fault(&self) -> Option<String> {
+        let arena = &self.db.arena;
+        let mut is_header = vec![false; arena.len()];
+        let (mut at, mut headers) = (0, 0);
+        while at < arena.len() {
+            if at + HEADER > arena.len() {
+                return Some(format!("header at {at} runs past the arena end"));
+            }
+            let len = self.db.len(at as u32);
+            if len < 2 || at + HEADER + len > arena.len() {
+                return Some(format!("clause at {at} has length {len}"));
+            }
+            is_header[at] = true;
+            headers += 1;
+            at += HEADER + len;
+        }
+        if headers != self.db.slots {
+            let slots = self.db.slots;
+            return Some(format!("{headers} headers but {slots} slots"));
+        }
+        for (p, ws) in self.watches.iter().enumerate() {
+            for w in ws {
+                let cref = w.cref;
+                if !is_header.get(cref as usize).copied().unwrap_or(false) {
+                    return Some(format!("watch on {p} holds {cref}, not a header"));
+                }
+                if self.db.deleted(cref) {
+                    return Some(format!("watch on {p} holds deleted clause {cref}"));
+                }
+                let lits = self.db.lits(cref);
+                if p as u32 != lit_neg(lits[0]) && p as u32 != lit_neg(lits[1]) {
+                    return Some(format!(
+                        "clause {cref} watched on {p}, not on a watched literal"
+                    ));
+                }
+            }
+        }
+        None
     }
 
     fn reduce_db(&mut self) {
         self.stats.db_reductions += 1;
-        let mut learnt_refs: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
+        let db = &self.db;
+        let mut learnt_refs: Vec<u32> = db
+            .crefs()
+            .filter(|&c| {
                 // Binary and low-glue ("glue clauses" proper) learnt
                 // clauses are always kept.
-                c.learnt && !c.deleted && c.lits.len() > 2 && c.lbd > 2
+                db.learnt(c) && !db.deleted(c) && db.len(c) > 2 && db.lbd(c) > 2
             })
             .collect();
         // Worst candidates first: highest glue, then least active.
         learnt_refs.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
-        let locked: Vec<bool> = (0..self.clauses.len() as u32)
-            .map(|cref| {
-                self.clauses[cref as usize]
-                    .lits
-                    .first()
-                    .map(|&l| self.value_lit(l) == TRUE && self.reason[lit_var(l)] == cref)
-                    .unwrap_or(false)
-            })
-            .collect();
         let half = learnt_refs.len() / 2;
         let mut removed = 0u64;
         for &cref in &learnt_refs[..half] {
-            if !locked[cref as usize] {
+            // A reason clause is locked: its first literal is true and
+            // was propagated by it. Deleting a candidate changes neither,
+            // so each candidate is tested as it comes up.
+            let l = self.db.lits(cref)[0];
+            if !(self.value_lit(l) == TRUE && self.reason[lit_var(l)] == cref) {
                 self.delete_clause(cref);
                 removed += 1;
             }
@@ -817,29 +1002,20 @@ impl SatSolver {
         for &l in &self.trail {
             self.reason[lit_var(l)] = NO_REASON;
         }
-        let old = std::mem::take(&mut self.clauses);
-        let mut kept: Vec<Clause> = Vec::with_capacity(old.len());
+        // Tombstones go without a record: they were logged when deleted.
         let mut removed = 0u64;
-        let mut pending_deletes: Vec<Vec<i32>> = Vec::new();
-        for c in old {
-            if c.deleted {
-                continue; // tombstone: already logged at deletion time
+        let (assigns, proof) = (&self.assigns, &mut self.proof);
+        self.db.compact(|lits| {
+            if !lits.iter().any(|&l| lit_value(assigns, l) == TRUE) {
+                return true;
             }
-            if c.lits.iter().any(|&l| self.value_lit(l) == TRUE) {
-                removed += 1;
-                if self.proof.is_some() {
-                    pending_deletes.push(c.lits.iter().map(|&l| lit_to_dimacs(l)).collect());
-                }
-                continue;
+            removed += 1;
+            if let Some(pr) = proof.as_mut() {
+                let dimacs: Vec<i32> = lits.iter().map(|&l| lit_to_dimacs(l)).collect();
+                pr.delete(&dimacs);
             }
-            kept.push(c);
-        }
-        if let Some(pr) = self.proof.as_mut() {
-            for lits in &pending_deletes {
-                pr.delete(lits);
-            }
-        }
-        self.clauses = kept;
+            false
+        });
         self.rebuild_watches();
         self.stats.gc_clauses += removed;
         removed
@@ -874,14 +1050,18 @@ impl SatSolver {
         // bit-blasted instances.
         let mut budget: u64 = 2_000_000;
         // Occurrence lists are per *variable* (either polarity), so a
-        // scan finds both subsumption and self-subsumption partners.
+        // scan finds both subsumption and self-subsumption partners. They
+        // and the signatures index the clauses present when the pass
+        // starts (`crefs`), so a clause attached by strengthening is
+        // neither a subsumer nor a candidate in the same pass.
         let nvars = self.assigns.len();
+        let crefs: Vec<u32> = self.db.crefs().collect();
         let mut occ: Vec<Vec<u32>> = vec![Vec::new(); nvars];
-        let mut sig: Vec<u64> = Vec::with_capacity(self.clauses.len());
-        for (i, c) in self.clauses.iter().enumerate() {
+        let mut sig: Vec<u64> = Vec::with_capacity(crefs.len());
+        for (i, &c) in crefs.iter().enumerate() {
             let mut s = 0u64;
-            if !c.deleted {
-                for &l in &c.lits {
+            if !self.db.deleted(c) {
+                for &l in self.db.lits(c) {
                     occ[lit_var(l)].push(i as u32);
                     s |= 1u64 << (lit_var(l) % 64);
                 }
@@ -890,16 +1070,15 @@ impl SatSolver {
         }
         let mut mark: Vec<u8> = vec![0; self.watches.len()];
         let mut pending_units: Vec<u32> = Vec::new();
-        let n = self.clauses.len();
-        'subsumers: for i in 0..n {
+        'subsumers: for i in 0..crefs.len() {
             if budget == 0 {
                 break;
             }
-            let c = &self.clauses[i];
-            if c.deleted || c.lits.len() > SUBSUMER_MAX_LEN {
+            let c = crefs[i];
+            if self.db.deleted(c) || self.db.len(c) > SUBSUMER_MAX_LEN {
                 continue;
             }
-            let clits = c.lits.clone();
+            let clits = self.db.lits(c).to_vec();
             let csig = sig[i];
             let pv = lit_var(
                 *clits
@@ -918,12 +1097,13 @@ impl SatSolver {
                 if d == i {
                     continue;
                 }
-                let dc = &self.clauses[d];
-                if dc.deleted || dc.lits.len() < clits.len() || csig & !sig[d] != 0 {
+                let dref = crefs[d];
+                let dlits = self.db.lits(dref);
+                if self.db.deleted(dref) || dlits.len() < clits.len() || csig & !sig[d] != 0 {
                     continue;
                 }
-                budget = budget.saturating_sub(dc.lits.len() as u64 + clits.len() as u64);
-                for &l in &dc.lits {
+                budget = budget.saturating_sub(dlits.len() as u64 + clits.len() as u64);
+                for &l in dlits {
                     mark[l as usize] = 1;
                 }
                 // Does C subsume D, possibly modulo one flipped literal?
@@ -940,7 +1120,7 @@ impl SatSolver {
                         break;
                     }
                 }
-                for &l in &self.clauses[d].lits {
+                for &l in dlits {
                     mark[l as usize] = 0;
                 }
                 if !ok {
@@ -948,36 +1128,31 @@ impl SatSolver {
                 }
                 match flipped {
                     None => {
-                        self.delete_clause(d as u32);
+                        self.delete_clause(dref);
                         self.stats.subsumed += 1;
                     }
                     Some(l) => {
                         // Self-subsuming resolution: D := D \ {¬l}.
                         let nl = lit_neg(l);
-                        let new_lits: Vec<u32> = self.clauses[d]
-                            .lits
-                            .iter()
-                            .copied()
-                            .filter(|&q| q != nl)
-                            .collect();
+                        let new_lits: Vec<u32> =
+                            dlits.iter().copied().filter(|&q| q != nl).collect();
                         if let Some(pr) = self.proof.as_mut() {
                             let lemma: Vec<i32> =
                                 new_lits.iter().map(|&q| lit_to_dimacs(q)).collect();
                             pr.add_lemma(&lemma);
                         }
-                        let learnt = self.clauses[d].learnt;
-                        let activity = self.clauses[d].activity;
-                        let lbd = self.clauses[d].lbd.min(new_lits.len() as u32);
-                        self.delete_clause(d as u32);
+                        let learnt = self.db.learnt(dref);
+                        let activity = self.db.activity(dref);
+                        let lbd = self.db.lbd(dref).min(new_lits.len() as u32);
+                        self.delete_clause(dref);
                         self.stats.strengthened += 1;
                         if new_lits.len() == 1 {
                             // Enqueued after the watch rebuild below, so
                             // propagation never runs over stale watches.
                             pending_units.push(new_lits[0]);
                         } else {
-                            let cref = self.attach_clause(new_lits, learnt, lbd);
-                            self.clauses[cref as usize].activity = activity;
-                            sig.push(sig[d]);
+                            let cref = self.attach_clause(&new_lits, learnt, lbd);
+                            self.db.set_activity(cref, activity);
                         }
                     }
                 }
@@ -1015,11 +1190,11 @@ impl SatSolver {
         debug_assert_eq!(self.decision_level(), 0);
         let mut cand: Vec<u32> = Vec::new();
         let mut cand_seen: Vec<bool> = vec![false; self.watches.len()];
-        'collect: for c in &self.clauses {
-            if c.deleted || c.lits.len() != 2 {
+        'collect: for c in self.db.crefs() {
+            if self.db.deleted(c) || self.db.len(c) != 2 {
                 continue;
             }
-            for &l in &c.lits {
+            for &l in self.db.lits(c) {
                 // Probe the negation: falsifying one side of a binary
                 // clause is guaranteed to propagate the other.
                 let probe = lit_neg(l);
@@ -1101,12 +1276,12 @@ impl SatSolver {
             self.ok = false;
             return SatOutcome::Unsat;
         }
-        if self.config.inprocessing && self.clauses.len() >= self.inprocess_at {
+        if self.config.inprocessing && self.db.slots >= self.inprocess_at {
             self.inprocess();
             if !self.ok {
                 return SatOutcome::Unsat;
             }
-            self.inprocess_at = self.clauses.len() + (self.clauses.len() / 4).max(1000);
+            self.inprocess_at = self.db.slots + (self.db.slots / 4).max(1000);
         }
         let mut restart_round: u64 = 0;
         let mut conflicts_since_restart: u64 = 0;
@@ -1140,8 +1315,8 @@ impl SatSolver {
                     }
                 }
                 debug_assert!(
-                    self.clauses[confl as usize]
-                        .lits
+                    self.db
+                        .lits(confl)
                         .iter()
                         .any(|&l| self.level[lit_var(l)] == self.decision_level()),
                     "conflict below the current decision level"
@@ -1161,7 +1336,7 @@ impl SatSolver {
                     self.enqueue(learnt[0], NO_REASON);
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true, lbd);
+                    let cref = self.attach_clause(&learnt, true, lbd);
                     self.bump_clause(cref);
                     self.enqueue(asserting, cref);
                 }
@@ -1261,8 +1436,7 @@ impl SatSolver {
                 debug_assert!(self.level[v] > 0);
                 self.conflict.push(lit_to_dimacs(l));
             } else {
-                let lits = self.clauses[r as usize].lits.clone();
-                for &q in &lits {
+                for &q in self.db.lits(r) {
                     let qv = lit_var(q);
                     if qv != v && self.level[qv] > 0 {
                         self.seen[qv] = true;
@@ -1298,14 +1472,14 @@ impl SatSolver {
     /// Clauses currently attached (original problem clauses plus learnt,
     /// excluding deleted ones).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.db.crefs().filter(|&c| !self.db.deleted(c)).count()
     }
 
     /// Learnt clauses currently in the database.
     pub fn num_learnt_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
+        self.db
+            .crefs()
+            .filter(|&c| self.db.learnt(c) && !self.db.deleted(c))
             .count()
     }
 
