@@ -283,9 +283,6 @@ fn run_bmc_bench(tier: hk_bmc::Tier, out_path: &std::path::Path, smoke: bool) {
     println!("bmc benchmark at the {} tier, certified\n", tier.name());
     let cfg = hk_bmc::BmcConfig {
         tier,
-        certify: true,
-        max_conflicts: Some(MAX_CONFLICTS),
-        max_solve_ms: Some(MAX_SOLVE_MS),
         ..hk_bmc::BmcConfig::default()
     };
     let report = hk_core::run_bmc(&cfg, &hk_core::EventSink::null());
@@ -328,8 +325,7 @@ fn run_bmc_bench(tier: hk_bmc::Tier, out_path: &std::path::Path, smoke: bool) {
         "{{\n  \"bmc\": {},\n  \"aggregate\": {{\n    \"harnesses\": {},\n    \
          \"proved\": {},\n    \"unsat_queries\": {},\n    \"certified_unsat\": {},\n    \
          \"wall_ms\": {:.3}\n  }},\n  \"config\": {{\"smoke\": {smoke}, \"tier\": \"{}\", \
-         \"certify\": true, \"max_conflicts\": {MAX_CONFLICTS}, \
-         \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
+         \"certify\": true, \"max_conflicts\": {}, \"max_solve_ms\": {}, {}}}\n}}\n",
         report.to_json().trim_end().replace('\n', "\n  "),
         report.harnesses.len(),
         report.proved(),
@@ -337,6 +333,8 @@ fn run_bmc_bench(tier: hk_bmc::Tier, out_path: &std::path::Path, smoke: bool) {
         report.certified_unsat(),
         ms(report.total_time),
         tier.name(),
+        hk_bmc::MAX_CONFLICTS,
+        hk_bmc::MAX_SOLVE_MS,
         features_json(true, true, true)
     );
     println!(

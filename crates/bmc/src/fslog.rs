@@ -439,7 +439,7 @@ pub fn crash_atomicity(cfg: &BmcConfig) -> HarnessReport {
     let instances: Vec<FsLogInstance> = (1..=capacity as usize)
         .map(|n| encode_fslog(&mut ctx, cfg, n))
         .collect();
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for inst in &instances {
         for &a in &inst.assumptions {
             prover.assume(a);
@@ -460,7 +460,7 @@ pub fn recovery_idempotent(cfg: &BmcConfig) -> HarnessReport {
     let instances: Vec<FsLogInstance> = (1..=capacity as usize)
         .map(|n| encode_fslog(&mut ctx, cfg, n))
         .collect();
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for inst in &instances {
         for &a in &inst.assumptions {
             prover.assume(a);

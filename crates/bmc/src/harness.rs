@@ -4,9 +4,9 @@
 //! substrate models. Each harness builds its symbolic model at the
 //! bounds of the configured [`Tier`], discharges the property through
 //! one incremental [`hk_smt::Solver`] (negation asserted in a scope,
-//! `Unsat` expected), and reports per-harness solver statistics. With
-//! [`BmcConfig::certify`] every `Unsat` is re-derived by the
-//! independent DRAT checker, exactly as for the syscall handlers.
+//! `Unsat` expected), and reports per-harness solver statistics. Every
+//! `Unsat` is re-derived by the independent DRAT checker, as for the
+//! syscall handlers under certify.
 
 use std::time::{Duration, Instant};
 
@@ -51,17 +51,17 @@ pub enum SeededBug {
     JournalHeaderFirst,
 }
 
+/// Per-query conflict budget of every harness query.
+pub const MAX_CONFLICTS: u64 = 10_000_000;
+
+/// Per-query wall-clock budget of every harness query, in milliseconds.
+pub const MAX_SOLVE_MS: u64 = 600_000;
+
 /// Configuration of one BMC run.
 #[derive(Debug, Clone)]
 pub struct BmcConfig {
     /// Bound tier.
     pub tier: Tier,
-    /// Re-check every Unsat with the independent proof checker.
-    pub certify: bool,
-    /// Per-query conflict budget (`None`: run to completion).
-    pub max_conflicts: Option<u64>,
-    /// Per-query wall-clock budget in milliseconds.
-    pub max_solve_ms: Option<u64>,
     /// Plant one seeded bug (negative-fixture tests only).
     pub seeded_bug: Option<SeededBug>,
     /// Restrict the run to harnesses with these exact names.
@@ -72,9 +72,6 @@ impl Default for BmcConfig {
     fn default() -> Self {
         BmcConfig {
             tier: Tier::Fast,
-            certify: true,
-            max_conflicts: Some(10_000_000),
-            max_solve_ms: Some(600_000),
             seeded_bug: None,
             only: None,
         }
@@ -186,15 +183,15 @@ pub struct Prover {
 }
 
 impl Prover {
-    /// A fresh session under the run configuration's solver knobs.
-    pub fn new(ctx: Ctx, cfg: &BmcConfig) -> Prover {
+    /// A fresh certified session under the harness budgets.
+    pub fn new(ctx: Ctx) -> Prover {
         let mut sc = SolverConfig {
-            certify: cfg.certify,
+            certify: true,
             cache: None,
             ..SolverConfig::default()
         };
-        sc.sat.max_conflicts = cfg.max_conflicts;
-        sc.sat.max_solve_ms = cfg.max_solve_ms;
+        sc.sat.max_conflicts = Some(MAX_CONFLICTS);
+        sc.sat.max_solve_ms = Some(MAX_SOLVE_MS);
         Prover {
             ctx,
             solver: Solver::with_config(sc),

@@ -162,7 +162,7 @@ pub fn dma_confinement(cfg: &BmcConfig) -> HarnessReport {
     let confined = ctx.and(&[pfn_lo, pfn_hi, addr_lo, addr_hi, no_wrap]);
     let prop = ctx.implies(m.walk.ok, confined);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for &a in &m.assumptions {
         prover.assume(a);
     }
@@ -196,7 +196,7 @@ pub fn grant_set(cfg: &BmcConfig) -> HarnessReport {
     let any = ctx.or(&granted);
     let prop = ctx.implies(m.walk.ok, any);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for &a in &m.assumptions {
         prover.assume(a);
     }

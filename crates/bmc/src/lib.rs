@@ -8,7 +8,7 @@
 //! symbolic state into hk-smt terms, mirror the real Rust code as term
 //! circuits, and discharge the properties through the same incremental
 //! CDCL solver stack as the kernel proofs, with every Unsat
-//! optionally re-derived by the independent DRAT checker.
+//! re-derived by the independent DRAT checker.
 //!
 //! Four harness families ship here:
 //!
@@ -37,4 +37,5 @@ pub mod tlb;
 
 pub use harness::{
     harnesses, run_all, BmcConfig, BmcOutcome, HarnessDef, HarnessReport, Prover, SeededBug, Tier,
+    MAX_CONFLICTS, MAX_SOLVE_MS,
 };

@@ -298,7 +298,7 @@ pub fn walk_agrees_spec(cfg: &BmcConfig) -> HarnessReport {
     let when_fault = ctx.implies(not_ok, fault_agree);
     let prop = ctx.and(&[same_ok, when_ok, when_fault]);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     let (mem, root, va) = (&s.mem, s.root, s.va);
     prover.prove(prop, |ctx, model| {
         let detail = format!(
@@ -355,7 +355,7 @@ pub fn perm_monotonic(cfg: &BmcConfig) -> HarnessReport {
     let read_implies_write = ctx.implies(writable_read, ww.ok);
     let prop = ctx.and2(write_implies_read, read_implies_write);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     let (mem, root, va) = (&s.mem, s.root, s.va);
     prover.prove(prop, |ctx, model| {
         let detail = format!(
@@ -405,7 +405,7 @@ pub fn no_overflow(cfg: &BmcConfig) -> HarnessReport {
     claims.push(ctx.implies(w.ok, final_in));
     let prop = ctx.and(&claims);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     let (mem, root, va) = (&s.mem, s.root, s.va);
     prover.prove(prop, |ctx, model| {
         let detail = format!(
@@ -475,7 +475,7 @@ pub fn split_join_roundtrip(cfg: &BmcConfig) -> HarnessReport {
     let dir2 = ctx.implies(pre, all);
     let prop = ctx.and2(dir1, dir2);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     prover.prove(prop, |ctx, model| {
         format!(
             "split/join mismatch: va={:#x} joined={:#x}",

@@ -405,7 +405,7 @@ pub fn coherence(cfg: &BmcConfig) -> HarnessReport {
     let agree = ctx.and2(pfn_ok, w_ok);
     let prop = ctx.implies(t.hit, agree);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for &a in &t.assumptions {
         prover.assume(a);
     }
@@ -426,7 +426,7 @@ pub fn flush_from_scratch(cfg: &BmcConfig) -> HarnessReport {
     }
     let prop = ctx.and(&claims);
 
-    let mut prover = Prover::new(ctx, cfg);
+    let mut prover = Prover::new(ctx);
     for &a in &t.assumptions {
         prover.assume(a);
     }

@@ -23,8 +23,6 @@ pub struct BmcReport {
     pub harnesses: Vec<HarnessReport>,
     /// Bound tier the run used (`fast` / `deep`).
     pub tier: &'static str,
-    /// Whether Unsat answers were DRAT-certified.
-    pub certified: bool,
     /// Whole-phase wall clock.
     pub total_time: Duration,
 }
@@ -85,15 +83,13 @@ impl BmcReport {
                 h.bounds
             );
         }
-        if self.certified {
-            let _ = writeln!(
-                out,
-                "  proof: {}/{} unsat answers certified ({} DRAT steps)",
-                self.certified_unsat(),
-                self.unsat_queries(),
-                self.harnesses.iter().map(|h| h.proof_steps).sum::<u64>()
-            );
-        }
+        let _ = writeln!(
+            out,
+            "  proof: {}/{} unsat answers certified ({} DRAT steps)",
+            self.certified_unsat(),
+            self.unsat_queries(),
+            self.harnesses.iter().map(|h| h.proof_steps).sum::<u64>()
+        );
         out
     }
 
@@ -176,10 +172,11 @@ impl BmcReport {
 /// Runs the BMC phase: every harness selected by `cfg`, in registry
 /// order, reporting progress through `sink`.
 ///
-/// When `cfg.certify` is set, the phase enforces the same invariant the
-/// handler driver does for its queries: every Unsat answer carries a
-/// checked DRAT certificate (`certified_unsat == unsat_queries`), or the
-/// phase panics — a certification gap is a soundness bug, not a result.
+/// Every harness runs certified, and the phase enforces the same
+/// invariant the handler driver does for certified queries: every Unsat
+/// answer carries a checked DRAT certificate (`certified_unsat ==
+/// unsat_queries`), or the phase panics — a certification gap is a
+/// soundness bug, not a result.
 pub fn run_bmc(cfg: &BmcConfig, sink: &EventSink) -> BmcReport {
     let defs: Vec<_> = harnesses()
         .into_iter()
@@ -197,13 +194,11 @@ pub fn run_bmc(cfg: &BmcConfig, sink: &EventSink) -> BmcReport {
     let mut reports = Vec::with_capacity(defs.len());
     for def in defs {
         let r = (def.run)(cfg);
-        if cfg.certify {
-            assert_eq!(
-                r.certified_unsat, r.unsat_queries,
-                "harness {} produced uncertified unsat answers",
-                r.name
-            );
-        }
+        assert_eq!(
+            r.certified_unsat, r.unsat_queries,
+            "harness {} produced uncertified unsat answers",
+            r.name
+        );
         match &r.outcome {
             BmcOutcome::Proved => {}
             BmcOutcome::Counterexample(text) => sink.emit(&VerifyEvent::BmcFinding {
@@ -223,7 +218,6 @@ pub fn run_bmc(cfg: &BmcConfig, sink: &EventSink) -> BmcReport {
     let report = BmcReport {
         harnesses: reports,
         tier: cfg.tier.name(),
-        certified: cfg.certify,
         total_time: start.elapsed(),
     };
     sink.emit(&VerifyEvent::BmcFinished {

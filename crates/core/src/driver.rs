@@ -19,7 +19,6 @@ use hk_abi::{KernelParams, Sysno};
 use hk_kernel::KernelImage;
 use hk_smt::{CacheStats, QueryCache, SolverConfig, Stats};
 use hk_spec::shapes_of;
-use hk_symx::SymxConfig;
 
 use crate::event::{EventSink, PhaseStats, VerifyEvent};
 use crate::refine::{verify_handler, HandlerOutcome, HandlerReport, VerifyCtx};
@@ -42,8 +41,6 @@ pub struct VerifyConfig {
     /// learnt clauses carry over; disable it to get the
     /// fresh-solver-per-query baseline.
     pub solver: SolverConfig,
-    /// Symbolic execution configuration.
-    pub symx: SymxConfig,
     /// Restrict to these handlers (empty = all 50).
     pub only: Vec<Sysno>,
     /// Progress events (defaults to one line per handler on stderr).
@@ -62,7 +59,6 @@ impl Default for VerifyConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             solver: SolverConfig::default(),
-            symx: SymxConfig::default(),
             only: Vec::new(),
             events: EventSink::stderr(),
             cache_snapshot: None,
@@ -419,9 +415,8 @@ pub fn verify_image(image: &KernelImage, config: &VerifyConfig) -> VerifyReport 
     // ---- Static-analysis phase (paper's finite-interface discipline,
     // checked up front): finiteness, definite initialization, and UB
     // lints over every selected handler plus the representation
-    // invariant. Findings fail the run; the proven loop bounds feed the
-    // symbolic executor so it asserts unrolling limits instead of
-    // probing the solver at every back edge.
+    // invariant. Findings fail the run; the proven loop bounds alone
+    // govern the symbolic executor's unrolling.
     let analysis_start = Instant::now();
     let mut roots: Vec<hk_hir::FuncId> = targets.iter().map(|&s| image.handler(s)).collect();
     roots.push(image.rep_invariant);
@@ -459,8 +454,7 @@ pub fn verify_image(image: &KernelImage, config: &VerifyConfig) -> VerifyReport 
         handler: &handler_fn,
         rep_invariant: image.rep_invariant,
         solver: solver_config,
-        symx: config.symx,
-        bounds: Some(&bounds),
+        bounds: &bounds,
     };
     let total = targets.len();
     let certify = config.solver.certify;

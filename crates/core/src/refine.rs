@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use hk_abi::Sysno;
 use hk_smt::{Ctx, SatResult, Solver, SolverConfig, Sort, TermId};
 use hk_spec::{spec_transition, SpecState};
-use hk_symx::{sym_exec_bounded, SymxConfig};
+use hk_symx::{sym_exec, SymxConfig};
 
 use crate::event::PhaseStats;
 use crate::testgen::TestCase;
@@ -108,12 +108,9 @@ pub struct VerifyCtx<'a> {
     pub rep_invariant: hk_hir::FuncId,
     /// Solver configuration.
     pub solver: SolverConfig,
-    /// Symbolic-execution configuration.
-    pub symx: SymxConfig,
-    /// Loop bounds proven by the static-analysis phase. When present,
-    /// the symbolic executor asserts these unrolling limits instead of
-    /// probing the solver at every loop back edge.
-    pub bounds: Option<&'a hk_hir::LoopBounds>,
+    /// Loop bounds proven by the static-analysis phase; they alone
+    /// govern the symbolic executor's unrolling.
+    pub bounds: &'a hk_hir::LoopBounds,
 }
 
 /// Symbolically evaluates the representation invariant on a state.
@@ -124,13 +121,13 @@ pub fn invariant_term(
     vctx: &VerifyCtx,
     state: &SpecState,
 ) -> Result<TermId, String> {
-    let r = sym_exec_bounded(
+    let r = sym_exec(
         ctx,
         vctx.module,
         vctx.rep_invariant,
         &[],
         state.clone(),
-        &vctx.symx,
+        &SymxConfig::default(),
         vctx.bounds,
     )
     .map_err(|e| e.to_string())?;
@@ -179,13 +176,13 @@ pub fn verify_handler(vctx: &VerifyCtx, sysno: Sysno) -> HandlerReport {
     let mut spec_post = st0.clone();
     let spec_ret = spec_transition(&mut ctx, &mut spec_post, sysno, &args);
     // Implementation paths.
-    let impl_res = match sym_exec_bounded(
+    let impl_res = match sym_exec(
         &mut ctx,
         vctx.module,
         (vctx.handler)(sysno),
         &args,
         st0.clone(),
-        &vctx.symx,
+        &SymxConfig::default(),
         vctx.bounds,
     ) {
         Ok(r) => r,

@@ -7,8 +7,8 @@
 //! 1. **Finiteness**: every loop terminates within a constant bound.
 //!    Per-frame block-entry counts are capped; the observed maxima are
 //!    exported as [`LoopBounds`] with counting semantics identical to
-//!    `symx`'s per-frame visit counters, so the symbolic executor can
-//!    assert its unrolling limit instead of probing the solver.
+//!    `symx`'s per-frame visit counters; they alone govern the symbolic
+//!    executor's unrolling.
 //! 2. **UB lints**: possible division/remainder by zero, shift amounts
 //!    outside `[0, 64)`, and out-of-bounds GEP indexes, flagged with
 //!    HyperC source spans.
@@ -416,15 +416,16 @@ impl<'a> AbsInt<'a> {
     }
 
     /// Analyses every abstract path through `root`, appending findings
-    /// to `diags` and (when the analysis completes within budget and
-    /// every loop stays bounded) merging proven loop bounds into
-    /// `bounds`.
+    /// to `diags`. When the analysis completes within budget and every
+    /// loop stays bounded, merges the proven loop bounds into `bounds`
+    /// and returns true; otherwise the root is poisoned and this
+    /// returns false.
     pub(crate) fn analyze(
         &mut self,
         root: FuncId,
         diags: &mut Vec<Diagnostic>,
         bounds: &mut LoopBounds,
-    ) {
+    ) -> bool {
         let module = self.module;
         let func = module.func_def(root);
         let mut frame = Frame {
@@ -474,6 +475,7 @@ impl<'a> AbsInt<'a> {
         if !poisoned {
             bounds.merge(&local);
         }
+        !poisoned
     }
 
     /// Runs one path to completion; forked siblings go to `worklist`.

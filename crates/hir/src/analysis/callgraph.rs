@@ -55,6 +55,22 @@ impl CallGraph {
         &self.callees[f.0 as usize]
     }
 
+    /// Every function reachable from `roots` (roots included), in
+    /// ascending order.
+    pub(crate) fn reachable(&self, roots: &[FuncId]) -> Vec<FuncId> {
+        let mut reach: Vec<FuncId> = Vec::new();
+        let mut stack: Vec<FuncId> = roots.to_vec();
+        while let Some(f) = stack.pop() {
+            if reach.contains(&f) {
+                continue;
+            }
+            reach.push(f);
+            stack.extend_from_slice(self.callees(f));
+        }
+        reach.sort_unstable();
+        reach
+    }
+
     /// Span of the first `caller -> callee` call site, if that edge
     /// exists.
     pub fn call_site(&self, caller: FuncId, callee: FuncId) -> Option<Span> {

@@ -48,7 +48,8 @@ pub enum DiagnosticCode {
     /// A loop has no provable constant trip-count bound.
     UnboundedLoop,
     /// The abstract interpreter ran out of budget before finishing; no
-    /// loop bounds are exported for the affected entry point.
+    /// loop bounds are exported for any function the affected entry
+    /// point reaches.
     AnalysisBudget,
     /// A register may be read before it is assigned.
     UseBeforeDef,
@@ -214,10 +215,12 @@ impl Default for AnalysisConfig {
 ///
 /// The count matches `symx`'s per-frame visit counters exactly: a
 /// `for`-loop that runs `N` iterations enters its header `N + 1` times
-/// (once from the preheader, `N` times around the back edge). `symx`
-/// treats `bound(f, b) = Some(k)` as permission to re-enter `b` up to
-/// `k` times per activation without a feasibility probe — and as proof
-/// that further entries are infeasible.
+/// (once from the preheader, `N` times around the back edge). At a
+/// symbolic branch, `symx` enters `b` while the frame's entries into it
+/// are below `bound(f, b) = Some(k)`, and treats a `k + 1`-th entry as
+/// infeasible. A block without a bound is entered once; a re-entry
+/// fails closed. Every function reachable from a poisoned entry point
+/// (an unbounded loop or an exhausted budget) has no bounds at all.
 #[derive(Debug, Clone, Default)]
 pub struct LoopBounds {
     map: HashMap<(FuncId, u32), u32>,
@@ -235,8 +238,8 @@ impl LoopBounds {
         *e = (*e).max(count);
     }
 
-    /// Removes every bound for `func` (used when analysis of an entry
-    /// point exhausts its budget: partial counts are not proofs).
+    /// Removes every bound for `func`; [`analyze_module`] does so for
+    /// each function a poisoned entry point reaches.
     pub fn clear_func(&mut self, func: FuncId) {
         self.map.retain(|&(f, _), _| f != func);
     }
@@ -309,28 +312,25 @@ pub fn analyze_module(
         return result;
     }
 
-    // Reachable set, in a stable order.
-    let mut reach: Vec<FuncId> = Vec::new();
-    let mut stack: Vec<FuncId> = roots.to_vec();
-    while let Some(f) = stack.pop() {
-        if reach.contains(&f) {
-            continue;
-        }
-        reach.push(f);
-        stack.extend_from_slice(graph.callees(f));
-    }
-    reach.sort_unstable();
-
     // Definite initialization per function.
-    for &f in &reach {
+    for f in graph.reachable(roots) {
         init::check_func(module, f, &mut result.diagnostics);
     }
 
     // Abstract interpretation per entry point: UB lints, finiteness,
     // and loop bounds.
     let mut absint = absint::AbsInt::new(module, config);
+    let mut poisoned = Vec::new();
     for &root in roots {
-        absint.analyze(root, &mut result.diagnostics, &mut result.bounds);
+        if !absint.analyze(root, &mut result.diagnostics, &mut result.bounds) {
+            poisoned.push(root);
+        }
+    }
+    // A helper a poisoned root shares with a clean root keeps only the
+    // clean root's counts, which do not bound the poisoned root's calls:
+    // drop every bound reachable from a poisoned root.
+    for f in graph.reachable(&poisoned) {
+        result.bounds.clear_func(f);
     }
 
     apply_allowlist(&mut result.diagnostics, config);

@@ -7,7 +7,7 @@
 
 use crate::analysis::CallGraph;
 use crate::func::{Gep, Inst, Operand, Span, Terminator};
-use crate::module::{FuncId, Module};
+use crate::module::Module;
 
 /// Formats ` at file:line:col` when the span is known, empty otherwise.
 fn span_suffix(module: &Module, span: Span) -> String {
@@ -132,14 +132,6 @@ pub fn check_module(module: &Module) -> Vec<String> {
         ));
     }
     errors
-}
-
-/// Detects a cycle in the call graph; returns it if found.
-///
-/// Thin wrapper over [`CallGraph::find_cycle`], the single home for
-/// call-graph reasoning.
-pub fn find_recursion(module: &Module) -> Option<Vec<FuncId>> {
-    CallGraph::build(module).find_cycle()
 }
 
 #[cfg(test)]

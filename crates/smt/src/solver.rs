@@ -50,10 +50,6 @@ use crate::term::{Ctx, FuncId, Sort, TermId, VarId};
 pub struct SolverConfig {
     /// Heuristics of the CDCL core.
     pub sat: SatConfig,
-    /// Skip the model-validation pass. For benchmarking the raw
-    /// pipeline, and for `hk_symx`'s loop back-edge feasibility probes,
-    /// which read only `is_unsat()` and never the model.
-    pub skip_validation: bool,
     /// Content-addressed verdict cache shared across solver instances
     /// (and worker threads). `None` disables caching.
     pub cache: Option<Arc<QueryCache>>,
@@ -74,7 +70,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             sat: SatConfig::default(),
-            skip_validation: false,
             cache: None,
             incremental: true,
             certify: false,
@@ -507,14 +502,12 @@ impl Solver {
                     &engine.bb.var_bool,
                     &engine.ack.instances,
                 );
-                if !self.config.skip_validation {
-                    for &t in active {
-                        assert!(
-                            eval_bool(ctx, t, &model.assignment),
-                            "model validation failed for assertion: {}",
-                            ctx.display(t)
-                        );
-                    }
+                for &t in active {
+                    assert!(
+                        eval_bool(ctx, t, &model.assignment),
+                        "model validation failed for assertion: {}",
+                        ctx.display(t)
+                    );
                 }
                 SatResult::Sat(Box::new(model))
             }
@@ -606,14 +599,12 @@ impl Solver {
             SatOutcome::Unknown => SatResult::Unknown,
             SatOutcome::Sat => {
                 let model = lift_model(ctx, &sat, &var_bv, &var_bool, &ack.instances);
-                if !self.config.skip_validation {
-                    for &t in active {
-                        assert!(
-                            eval_bool(ctx, t, &model.assignment),
-                            "model validation failed for assertion: {}",
-                            ctx.display(t)
-                        );
-                    }
+                for &t in active {
+                    assert!(
+                        eval_bool(ctx, t, &model.assignment),
+                        "model validation failed for assertion: {}",
+                        ctx.display(t)
+                    );
                 }
                 SatResult::Sat(Box::new(model))
             }

@@ -153,10 +153,21 @@ pub fn file_refcnt_permutation(ctx: &mut Ctx, st: &mut SpecState) -> TermId {
 mod tests {
     use super::*;
     use crate::state::shapes_of;
+    use hk_abi::KernelParams;
     use hk_smt::{SatResult, Solver};
 
-    fn setup() -> (Ctx, SpecState) {
-        let params = hk_abi::KernelParams::verification();
+    /// A profile at which the kernel still builds and the three checks
+    /// below take seconds in a debug build, where the verification
+    /// profile takes minutes: the fast tier runs them here, the slow
+    /// tier at the verification profile.
+    const SMALL: KernelParams = KernelParams {
+        nr_procs: 4,
+        nr_fds: 2,
+        nr_files: 4,
+        ..KernelParams::verification()
+    };
+
+    fn setup(params: KernelParams) -> (Ctx, SpecState) {
         let image = hk_kernel::KernelImage::build(params).unwrap();
         let shapes = shapes_of(&image.module);
         let mut ctx = Ctx::new();
@@ -164,10 +175,9 @@ mod tests {
         (ctx, st)
     }
 
-    #[test]
-    fn inverse_implies_naive_exclusivity() {
+    fn inverse_implies_naive_exclusivity(params: KernelParams) {
         // inverse-function encoding implies pairwise exclusivity.
-        let (mut ctx, mut st) = setup();
+        let (mut ctx, mut st) = setup(params);
         let inv = exclusive_pml4_inverse(&mut ctx, &mut st);
         let naive = exclusive_pml4_naive(&mut ctx, &mut st);
         let mut solver = Solver::new();
@@ -177,27 +187,58 @@ mod tests {
         assert!(matches!(solver.check(&mut ctx), SatResult::Unsat));
     }
 
-    #[test]
-    fn sum_encoding_is_satisfiable() {
+    fn sum_encoding_is_satisfiable(params: KernelParams) {
         // The sum encoding admits models (it is not vacuous — §5's
         // non-vacuity concern).
-        let (mut ctx, mut st) = setup();
+        let (mut ctx, mut st) = setup(params);
         let sum = file_refcnt_sum(&mut ctx, &mut st);
         let mut solver = Solver::new();
         solver.assert(&mut ctx, sum);
         assert!(solver.check(&mut ctx).is_sat());
     }
 
-    #[test]
-    fn permutation_implies_sum() {
+    fn permutation_implies_sum(params: KernelParams) {
         // The permutation witness implies the counted value... for the
         // degenerate check that both are simultaneously satisfiable.
-        let (mut ctx, mut st) = setup();
+        let (mut ctx, mut st) = setup(params);
         let perm = file_refcnt_permutation(&mut ctx, &mut st);
         let sum = file_refcnt_sum(&mut ctx, &mut st);
         let mut solver = Solver::new();
         solver.assert(&mut ctx, perm);
         solver.assert(&mut ctx, sum);
         assert!(solver.check(&mut ctx).is_sat());
+    }
+
+    #[test]
+    fn small_inverse_implies_naive_exclusivity() {
+        inverse_implies_naive_exclusivity(SMALL);
+    }
+
+    #[test]
+    fn small_sum_encoding_is_satisfiable() {
+        sum_encoding_is_satisfiable(SMALL);
+    }
+
+    #[test]
+    fn small_permutation_implies_sum() {
+        permutation_implies_sum(SMALL);
+    }
+
+    #[test]
+    #[ignore = "slow tier: minutes in debug builds; run with --ignored"]
+    fn verification_inverse_implies_naive_exclusivity() {
+        inverse_implies_naive_exclusivity(KernelParams::verification());
+    }
+
+    #[test]
+    #[ignore = "slow tier: minutes in debug builds; run with --ignored"]
+    fn verification_sum_encoding_is_satisfiable() {
+        sum_encoding_is_satisfiable(KernelParams::verification());
+    }
+
+    #[test]
+    #[ignore = "slow tier: minutes in debug builds; run with --ignored"]
+    fn verification_permutation_implies_sum() {
+        permutation_implies_sum(KernelParams::verification());
     }
 }

@@ -1,10 +1,15 @@
 //! Exhaustive (all-paths) symbolic execution of HIR into SMT terms —
 //! the implementation half of the verifier (paper §3.2).
 //!
-//! The executor uses the *self-finitization* strategy: it simply unrolls
-//! every loop and traverses every branch; a function that does not
-//! terminate within the instruction budget fails verification, which is
-//! exactly the paper's contract for finite interfaces.
+//! The executor unrolls every loop and traverses every branch, and
+//! only builds terms: it never calls the solver. Finiteness comes from
+//! the static-analysis phase (`hk_hir::analysis`), whose proven
+//! [`LoopBounds`] govern unrolling. A symbolic branch enters a block
+//! while the frame's entries into it stay below the block's proven
+//! bound; a block without a bound is entered once, and a re-entry
+//! fails closed with [`SymxError::UnboundedLoop`]. A loop whose branch
+//! is concrete on every iteration runs until the instruction budget
+//! stops it.
 //!
 //! Memory is modelled the paper's way: each `(global, field)` pair is an
 //! uninterpreted function, writes become guarded write chains, reads
@@ -97,6 +102,14 @@ pub enum SymxError {
         /// The configured limit.
         limit: usize,
     },
+    /// A symbolic branch re-enters a block for which the static
+    /// analysis proved no loop bound.
+    UnboundedLoop {
+        /// The function the block belongs to.
+        func: String,
+        /// The re-entered block.
+        block: u32,
+    },
 }
 
 impl std::fmt::Display for SymxError {
@@ -111,6 +124,12 @@ impl std::fmt::Display for SymxError {
             SymxError::PathExplosion { func, limit } => {
                 write!(f, "{func}: more than {limit} paths")
             }
+            SymxError::UnboundedLoop { func, block } => {
+                write!(
+                    f,
+                    "{func}: block {block} re-entered without a proven loop bound"
+                )
+            }
         }
     }
 }
@@ -124,11 +143,6 @@ pub struct SymxConfig {
     pub max_instructions: u64,
     /// Maximum number of pending + finished paths.
     pub max_paths: usize,
-    /// Conflict budget for the feasibility checks that prune infeasible
-    /// loop continuations (self-finitization needs the solver to see
-    /// that a validated bound has been reached; `Unknown` is treated as
-    /// feasible, which is sound).
-    pub prune_conflict_budget: u64,
 }
 
 impl Default for SymxConfig {
@@ -136,26 +150,29 @@ impl Default for SymxConfig {
         SymxConfig {
             max_instructions: 50_000_000,
             max_paths: 4096,
-            prune_conflict_budget: 50_000,
         }
     }
 }
 
-/// Solver-backed feasibility test used on loop back-edges.
-fn feasible(ctx: &mut Ctx, cond: TermId, budget: u64) -> bool {
-    if let Some(b) = ctx.const_bool(cond) {
-        return b;
+/// Whether a symbolic branch in `frame` may enter `block` once more.
+fn may_enter(
+    module: &Module,
+    bounds: &LoopBounds,
+    frame: &Frame,
+    block: u32,
+) -> Result<bool, SymxError> {
+    let entries = frame.visits.get(&block).copied().unwrap_or(0);
+    match bounds.bound(frame.func, block) {
+        // The analysis proved no execution enters `block` more than
+        // `bound` times per activation: an arm at the bound is
+        // infeasible.
+        Some(bound) => Ok(entries < bound),
+        None if entries == 0 => Ok(true),
+        None => Err(SymxError::UnboundedLoop {
+            func: module.func_def(frame.func).name.clone(),
+            block,
+        }),
     }
-    let mut solver = hk_smt::Solver::with_config(hk_smt::SolverConfig {
-        sat: hk_smt::SatConfig {
-            max_conflicts: Some(budget),
-            ..hk_smt::SatConfig::default()
-        },
-        skip_validation: true,
-        ..hk_smt::SolverConfig::default()
-    });
-    solver.assert(ctx, cond);
-    !solver.check(ctx).is_unsat()
 }
 
 /// A call frame.
@@ -167,8 +184,8 @@ struct Frame {
     inst: usize,
     /// Where the callee's return value goes in the caller.
     ret_dst: Option<Reg>,
-    /// How often each block has been entered in this frame (loop
-    /// detection for infeasible-path pruning).
+    /// How often each block has been entered in this frame, checked
+    /// against the proven loop bounds.
     visits: std::collections::HashMap<u32, u32>,
 }
 
@@ -179,7 +196,9 @@ struct Task {
     stack: Vec<Frame>,
 }
 
-/// Exhaustively executes `func` on `state` with the given argument terms.
+/// Exhaustively executes `func` on `state` with the given argument
+/// terms, unrolling loops up to the trip-count `bounds` proven by the
+/// static analysis (`hk_hir::analysis`; see the module docs).
 pub fn sym_exec(
     ctx: &mut Ctx,
     module: &Module,
@@ -187,27 +206,7 @@ pub fn sym_exec(
     args: &[TermId],
     state: SpecState,
     config: &SymxConfig,
-) -> Result<SymxResult, SymxError> {
-    sym_exec_bounded(ctx, module, func, args, state, config, None)
-}
-
-/// Like [`sym_exec`], but consumes per-loop trip-count bounds proven by
-/// the static analysis (`hk_hir::analysis`).
-///
-/// At a symbolic branch whose target has a proven entry bound `B`, the
-/// arm is taken solver-free while the per-frame visit count is below `B`
-/// and asserted infeasible once it reaches `B` — the analysis already
-/// proved no concrete execution re-enters the block more often. Targets
-/// without a bound fall back to the legacy strategy: first entry is
-/// free, re-entries pay a feasibility probe.
-pub fn sym_exec_bounded(
-    ctx: &mut Ctx,
-    module: &Module,
-    func: FuncId,
-    args: &[TermId],
-    state: SpecState,
-    config: &SymxConfig,
-    bounds: Option<&LoopBounds>,
+    bounds: &LoopBounds,
 ) -> Result<SymxResult, SymxError> {
     let f = module.func_def(func);
     assert_eq!(
@@ -297,37 +296,13 @@ pub fn sym_exec_bounded(
                             frame.inst = 0;
                         }
                         None => {
-                            // Fork, pruning infeasible loop continuations:
-                            // a successor block already visited in this
-                            // frame is a back edge, and continuing down an
-                            // unsatisfiable path would unroll forever.
-                            let (cur_func, visits) = {
-                                let frame = task.stack.last().unwrap();
-                                (
-                                    frame.func,
-                                    (
-                                        frame.visits.get(&then_.0).copied().unwrap_or(0),
-                                        frame.visits.get(&else_.0).copied().unwrap_or(0),
-                                    ),
-                                )
-                            };
+                            // Fork; each arm obeys the proven loop bounds.
+                            let frame = task.stack.last().unwrap();
+                            let else_ok = may_enter(module, bounds, frame, else_.0)?;
+                            let then_ok = may_enter(module, bounds, frame, then_.0)?;
                             let not_taken = ctx.not(taken);
                             let else_cond = ctx.and2(task.cond, not_taken);
                             let then_cond = ctx.and2(task.cond, taken);
-                            let arm_ok = |ctx: &mut Ctx, target: u32, n: u32, cond| {
-                                match bounds.and_then(|b| b.bound(cur_func, target)) {
-                                    // A proven trip-count bound: entries
-                                    // below it need no solver probe, and
-                                    // entry at the bound is infeasible by
-                                    // the analysis' proof.
-                                    Some(bound) => n < bound,
-                                    None => {
-                                        n == 0 || feasible(ctx, cond, config.prune_conflict_budget)
-                                    }
-                                }
-                            };
-                            let else_ok = arm_ok(ctx, else_.0, visits.1, else_cond);
-                            let then_ok = arm_ok(ctx, then_.0, visits.0, then_cond);
                             if else_ok {
                                 let mut other = task.clone();
                                 other.cond = else_cond;
@@ -636,6 +611,31 @@ mod tests {
         (module, shapes)
     }
 
+    /// Executes `name` from a fresh state under `bounds`, with a budget
+    /// that stops a divergent loop within a fraction of a second.
+    fn exec(
+        ctx: &mut Ctx,
+        (module, shapes): &(Module, Vec<hk_spec::GlobalShape>),
+        name: &str,
+        args: &[TermId],
+        bounds: &LoopBounds,
+    ) -> Result<SymxResult, SymxError> {
+        let st = SpecState::fresh(ctx, shapes, hk_abi::KernelParams::verification());
+        let cfg = SymxConfig {
+            max_instructions: 100_000,
+            ..SymxConfig::default()
+        };
+        sym_exec(
+            ctx,
+            module,
+            module.func(name).unwrap(),
+            args,
+            st,
+            &cfg,
+            bounds,
+        )
+    }
+
     fn var_id(ctx: &Ctx, t: TermId) -> hk_smt::VarId {
         match ctx.data(t) {
             TermData::Var(v) => *v,
@@ -645,12 +645,10 @@ mod tests {
 
     #[test]
     fn straight_line_single_path() {
-        let (module, shapes) = compile("i64 f(i64 x) { return x + 1; }", &[]);
+        let m = compile("i64 f(i64 x) { return x + 1; }", &[]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let x = ctx.var("x", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[x], st, &SymxConfig::default()).unwrap();
+        let r = exec(&mut ctx, &m, "f", &[x], &LoopBounds::default()).unwrap();
         assert_eq!(r.paths.len(), 1);
         assert!(r.side_checks.is_empty());
         // ret == x + 1 for any x.
@@ -661,13 +659,10 @@ mod tests {
 
     #[test]
     fn branches_fork_paths() {
-        let src = "i64 f(i64 x) { if (x > 0) { return 1; } return 2; }";
-        let (module, shapes) = compile(src, &[]);
+        let m = compile("i64 f(i64 x) { if (x > 0) { return 1; } return 2; }", &[]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let x = ctx.var("x", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[x], st, &SymxConfig::default()).unwrap();
+        let r = exec(&mut ctx, &m, "f", &[x], &LoopBounds::default()).unwrap();
         assert_eq!(r.paths.len(), 2);
     }
 
@@ -675,87 +670,115 @@ mod tests {
     fn constant_loops_unroll_single_path() {
         let src =
             "i64 f() { i64 s = 0; i64 i; for (i = 0; i < 8; i = i + 1) { s = s + i; } return s; }";
-        let (module, shapes) = compile(src, &[]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[], st, &SymxConfig::default()).unwrap();
+        let r = exec(
+            &mut ctx,
+            &compile(src, &[]),
+            "f",
+            &[],
+            &LoopBounds::default(),
+        )
+        .unwrap();
         assert_eq!(r.paths.len(), 1);
         assert_eq!(ctx.const_value(r.paths[0].ret), Some(28));
     }
 
     #[test]
-    fn symbolic_bound_forks_linearly() {
-        // A loop bounded by a (validated) argument forks once per bound.
+    fn exported_loop_bounds_drive_unrolling() {
+        // A loop bounded by a validated argument forks once per trip
+        // count; the proven bounds both permit the unrolling and stop
+        // it at the bound.
         let src = "i64 f(i64 n) { i64 s = 0; i64 i; if (n < 0 || n > 4) { return 0 - 1; } for (i = 0; i < n; i = i + 1) { s = s + 2; } return s; }";
-        let (module, shapes) = compile(src, &[]);
-        let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
-        let n = ctx.var("n", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[n], st, &SymxConfig::default()).unwrap();
-        // 2 invalid paths (n<0, n>4) + 5 loop-count paths (0..=4).
-        assert_eq!(r.paths.len(), 7);
-    }
-
-    #[test]
-    fn exported_loop_bounds_replace_solver_probes() {
-        // Same shape as `symbolic_bound_forks_linearly`, but executed with
-        // the loop bounds the static analysis proves. With a conflict
-        // budget of 0 the legacy feasibility probes are useless (Unknown
-        // is treated as feasible); the proven bounds alone must both
-        // permit unrolling and stop it at the bound.
-        let src = "i64 f(i64 n) { i64 s = 0; i64 i; if (n < 0 || n > 4) { return 0 - 1; } for (i = 0; i < n; i = i + 1) { s = s + 2; } return s; }";
-        let (module, shapes) = compile(src, &[]);
-        let f = module.func("f").unwrap();
+        let m = compile(src, &[]);
+        let f = m.0.func("f").unwrap();
         let analysis =
-            hk_hir::analysis::analyze_module(&module, &[f], &hk_hir::AnalysisConfig::default());
+            hk_hir::analysis::analyze_module(&m.0, &[f], &hk_hir::AnalysisConfig::default());
         assert!(!analysis.has_findings(), "{:?}", analysis.diagnostics);
         assert!(!analysis.bounds.is_empty());
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let n = ctx.var("n", Sort::Bv(64));
-        let cfg = SymxConfig {
-            max_instructions: 100_000,
-            max_paths: 64,
-            prune_conflict_budget: 0,
-        };
-        let r =
-            sym_exec_bounded(&mut ctx, &module, f, &[n], st, &cfg, Some(&analysis.bounds)).unwrap();
+        let r = exec(&mut ctx, &m, "f", &[n], &analysis.bounds).unwrap();
         // 2 invalid paths (n<0, n>4) + 5 loop-count paths (0..=4).
         assert_eq!(r.paths.len(), 7);
     }
 
     #[test]
-    fn divergent_loop_exhausts_budget() {
-        let src = "i64 f(i64 x) { while (x != 0) { x = x + 0; } return 0; }";
-        let (module, shapes) = compile(src, &[]);
+    fn divergent_loop_fails_closed() {
+        // The loop header's second entry from a symbolic branch has no
+        // proven bound: execution stops with an error instead of
+        // unrolling until the budget runs out.
+        let m = compile(
+            "i64 f(i64 x) { while (x != 0) { x = x + 0; } return 0; }",
+            &[],
+        );
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let x = ctx.var("x", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let cfg = SymxConfig {
-            max_instructions: 5_000,
-            max_paths: 64,
-            prune_conflict_budget: 1_000,
-        };
-        let err = sym_exec(&mut ctx, &module, f, &[x], st, &cfg).unwrap_err();
+        let err = exec(&mut ctx, &m, "f", &[x], &LoopBounds::default());
         assert!(
-            matches!(err, SymxError::BudgetExhausted { .. })
-                || matches!(err, SymxError::PathExplosion { .. })
+            matches!(&err, Err(SymxError::UnboundedLoop { func, .. }) if func == "f"),
+            "{err:?}"
         );
     }
 
     #[test]
+    fn concrete_divergence_exhausts_budget() {
+        // A branch that is concrete on every iteration never consults
+        // the bounds; the instruction budget stops it.
+        let m = compile(
+            "i64 f() { i64 x = 1; while (x != 0) { x = x + 0; } return 0; }",
+            &[],
+        );
+        let err = exec(&mut Ctx::new(), &m, "f", &[], &LoopBounds::default());
+        assert!(
+            matches!(err, Err(SymxError::BudgetExhausted { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn poisoned_root_shares_no_loop_bounds() {
+        // `b` drives `h`'s loop with an unbounded argument, so its
+        // analysis is poisoned; `a` proves `h`'s header bound of 3.
+        // Applied to `b`, that bound would silently cut the loop after
+        // two trips. Every function reachable from `b` must lose its
+        // bounds, whichever root the analysis sees first.
+        let src = r#"
+            i64 h(i64 n) { i64 s = 0; i64 i; for (i = 0; i < n; i = i + 1) { s = s + 1; } return s; }
+            i64 a() { return h(2); }
+            i64 b(i64 x) { return h(x); }
+        "#;
+        let m = compile(src, &[]);
+        let (a, b) = (m.0.func("a").unwrap(), m.0.func("b").unwrap());
+        let acfg = hk_hir::AnalysisConfig {
+            max_block_visits: 64,
+            ..hk_hir::AnalysisConfig::default()
+        };
+        for roots in [[a, b], [b, a]] {
+            let analysis = hk_hir::analysis::analyze_module(&m.0, &roots, &acfg);
+            assert!(analysis
+                .unsuppressed()
+                .any(|d| d.code == hk_hir::DiagnosticCode::UnboundedLoop && d.func == "h"));
+            let mut ctx = Ctx::new();
+            let x = ctx.var("x", Sort::Bv(64));
+            let err = exec(&mut ctx, &m, "b", &[x], &analysis.bounds);
+            assert!(
+                matches!(&err, Err(SymxError::UnboundedLoop { func, .. }) if func == "h"),
+                "{err:?}"
+            );
+            // `a`'s call is concrete: it needs no bound and still runs.
+            let r = exec(&mut ctx, &m, "a", &[], &analysis.bounds).unwrap();
+            assert_eq!(r.paths.len(), 1);
+            assert_eq!(ctx.const_value(r.paths[0].ret), Some(2));
+        }
+    }
+
+    #[test]
     fn ub_side_checks_emitted() {
-        let src = "i64 f(i64 x, i64 y) { return x / y + (x << y); }";
-        let (module, shapes) = compile(src, &[]);
+        let m = compile("i64 f(i64 x, i64 y) { return x / y + (x << y); }", &[]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let x = ctx.var("x", Sort::Bv(64));
         let y = ctx.var("y", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[x, y], st, &SymxConfig::default()).unwrap();
+        let r = exec(&mut ctx, &m, "f", &[x, y], &LoopBounds::default()).unwrap();
         assert_eq!(r.side_checks.len(), 2);
         assert!(r.side_checks.iter().any(|c| c.kind.contains("division")));
         assert!(r.side_checks.iter().any(|c| c.kind.contains("shift")));
@@ -764,13 +787,11 @@ mod tests {
     #[test]
     fn memory_reads_track_writes() {
         let src = "i64 f(i64 i, i64 v) { table[i] = v; return table[i] + table[0]; }";
-        let (module, shapes) = compile(src, &[("table", 8, 1)]);
+        let m = compile(src, &[("table", 8, 1)]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let i = ctx.var("i", Sort::Bv(64));
         let v = ctx.var("v", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[i, v], st, &SymxConfig::default()).unwrap();
+        let r = exec(&mut ctx, &m, "f", &[i, v], &LoopBounds::default()).unwrap();
         assert_eq!(r.paths.len(), 1);
         // Bounds side checks for the three accesses exist (i unconstrained)
         // — the constant index 0 should NOT produce one.
@@ -791,12 +812,16 @@ mod tests {
             i64 helper(i64 x) { if (x > 10) { return 1; } return 0; }
             i64 f(i64 x) { if (helper(x) == 1) { return 100; } return 200; }
         "#;
-        let (module, shapes) = compile(src, &[]);
         let mut ctx = Ctx::new();
-        let st = SpecState::fresh(&mut ctx, &shapes, hk_abi::KernelParams::verification());
         let x = ctx.var("x", Sort::Bv(64));
-        let f = module.func("f").unwrap();
-        let r = sym_exec(&mut ctx, &module, f, &[x], st, &SymxConfig::default()).unwrap();
+        let r = exec(
+            &mut ctx,
+            &compile(src, &[]),
+            "f",
+            &[x],
+            &LoopBounds::default(),
+        )
+        .unwrap();
         // helper forks 2 paths; the comparison in f is then constant per
         // path, so 2 total.
         assert_eq!(r.paths.len(), 2);
