@@ -993,6 +993,32 @@ mod tests {
     }
 
     #[test]
+    fn deletion_spends_the_newest_lemma_copy_before_any_input_copy() {
+        // `[1, 2]` exists as an input and as a lemma; the deletion must
+        // spend the lemma, so the input stays an axiom and the refutation
+        // uses no lemma but the final one. Spending the input instead
+        // would put the lemma copy on the core (`core_lemmas == 2`).
+        let mut lemma_newest = ProofWriter::new();
+        lemma_newest.add_input(&[1, 2]);
+        lemma_newest.add_lemma(&[2, 1]);
+        lemma_newest.delete(&[1, 2]);
+        // The input copy is the newest here: the lemma is still preferred.
+        let mut input_newest = ProofWriter::new();
+        input_newest.add_input(&[1, 3]);
+        input_newest.add_input(&[-3, 2]);
+        input_newest.add_lemma(&[1, 2]);
+        input_newest.add_input(&[2, 1]);
+        input_newest.delete(&[1, 2]);
+        for mut w in [lemma_newest, input_newest] {
+            w.add_input(&[-1]);
+            w.add_input(&[-2]);
+            w.add_lemma(&[]);
+            let out = check_proof(w.bytes()).expect("the input copy survives");
+            assert_eq!((out.core_lemmas, out.core_inputs), (1, 3));
+        }
+    }
+
+    #[test]
     fn empty_stream_and_lemma_free_stream_are_rejected() {
         assert_eq!(check_proof(&[]), Err(ProofError::NoLemma));
         let mut w = ProofWriter::new();

@@ -20,11 +20,16 @@
 //!   hash of the proof streams of a fixed corpus must equal constants,
 //!   so a change meant to leave the search alone (a layout or a speed
 //!   change) is shown to make exactly the same decisions.
+//! * **Pinned checker outcomes**: over the same corpus, the checker's
+//!   summed counts and a hash of its final clauses, from a fresh check
+//!   of each stream and from the session fed at every Unsat, must equal
+//!   constants, so a change to the checker's layout is shown to check
+//!   exactly the same lemmas.
 
 mod common;
 
 use common::XorShift64;
-use hk_proof::{check_proof, parse_proof, ProofSession, ProofWriter, StepKind};
+use hk_proof::{check_proof, parse_proof, CheckOutcome, ProofSession, ProofWriter, StepKind};
 use hk_smt::sat::SatOutcome;
 use hk_smt::{SatConfig, SatSolver};
 
@@ -57,8 +62,8 @@ fn model_satisfies(s: &SatSolver, clauses: &[Vec<i32>]) -> bool {
 
 /// Certifies the stream logged so far through `session` and through a
 /// fresh `check_proof` of the same bytes: both must accept, with the same
-/// final clause, which is returned.
-fn certify_in_session(session: &mut ProofSession, s: &SatSolver, case: u64) -> Vec<i32> {
+/// final clause. Returns the session's outcome.
+fn certify_in_session(session: &mut ProofSession, s: &SatSolver, case: u64) -> CheckOutcome {
     let bytes = s.proof().expect("proof logging was started").bytes();
     let fresh = check_proof(bytes).unwrap_or_else(|e| panic!("case {case}: proof rejected: {e}"));
     let out = session.check(bytes).unwrap_or_else(|e| {
@@ -68,7 +73,7 @@ fn certify_in_session(session: &mut ProofSession, s: &SatSolver, case: u64) -> V
         out.final_clause, fresh.final_clause,
         "case {case}: session and fresh check conclude differently"
     );
-    out.final_clause
+    out
 }
 
 /// Solves `clauses` oneshot under `config`, certifying any Unsat.
@@ -138,7 +143,7 @@ fn solve_incremental(clauses: &[Vec<i32>], nvars: u64, config: SatConfig, case: 
             "case {case}: incremental model does not satisfy the instance"
         ),
         SatOutcome::Unsat => {
-            let final_clause = certify_in_session(&mut session, &s, case);
+            let final_clause = certify_in_session(&mut session, &s, case).final_clause;
             assert!(
                 final_clause.is_empty() || final_clause == vec![-act1],
                 "case {case}: final clause {final_clause:?} proves neither [] nor [{}]",
@@ -203,6 +208,11 @@ fn cdcl_config_matrix_agrees_on_random_cnf() {
 /// Every Unsat is certified in one checker session (and fresh). Returns
 /// the solver (for stats and the accumulated proof stream).
 fn random_session(seed: u64) -> SatSolver {
+    random_session_checks(seed).0
+}
+
+/// [`random_session`], with the session's outcome at each Unsat.
+fn random_session_checks(seed: u64) -> (SatSolver, Vec<CheckOutcome>) {
     let mut rng = XorShift64::new(seed);
     let mut s = SatSolver::with_config(SatConfig {
         reduce_base: 10,
@@ -211,6 +221,7 @@ fn random_session(seed: u64) -> SatSolver {
     });
     s.start_proof();
     let mut session = ProofSession::new();
+    let mut checks = Vec::new();
     let nvars = 20 + rng.below(15);
     let scopes = 3 + rng.below(3);
     for scope in 0..scopes {
@@ -220,19 +231,20 @@ fn random_session(seed: u64) -> SatSolver {
             let mut guarded = vec![-act];
             guarded.extend_from_slice(&c);
             if !s.add_clause(&guarded) {
-                return s;
+                return (s, checks);
             }
         }
         if s.solve_with_assumptions(&[act]) == SatOutcome::Unsat {
-            certify_in_session(&mut session, &s, seed);
+            checks.push(certify_in_session(&mut session, &s, seed));
             if !s.is_ok() {
-                return s; // globally unsat: the stream ends in the empty clause
+                // Globally unsat: the stream ends in the empty clause.
+                return (s, checks);
             }
         }
         s.add_clause(&[-act]);
         s.simplify();
     }
-    s
+    (s, checks)
 }
 
 #[test]
@@ -317,12 +329,20 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// retired with a unit and scope GC. The reduction schedule is shrunk so
 /// learnt clauses above the glue cut are actually evicted.
 fn large_session() -> SatSolver {
+    large_session_checks().0
+}
+
+/// [`large_session`], with every Unsat certified in one checker session
+/// (and fresh), and the session's outcome at each.
+fn large_session_checks() -> (SatSolver, Vec<CheckOutcome>) {
     let mut s = SatSolver::with_config(SatConfig {
         reduce_base: 200,
         reduce_incr: 50,
         ..SatConfig::default()
     });
     s.start_proof();
+    let mut session = ProofSession::new();
+    let mut checks = Vec::new();
     let (n, m) = (8i32, 7i32);
     let v = |i: i32, j: i32| i * m + j + 1;
     let php_act = n * m + 1;
@@ -339,6 +359,7 @@ fn large_session() -> SatSolver {
         }
     }
     assert_eq!(s.solve_with_assumptions(&[php_act]), SatOutcome::Unsat);
+    checks.push(certify_in_session(&mut session, &s, 0));
     s.add_clause(&[-php_act]);
     s.simplify();
     // Random 3-CNF near the threshold ratio (4.26): hard enough at 150
@@ -356,11 +377,13 @@ fn large_session() -> SatSolver {
             }
             s.add_clause(&c);
         }
-        s.solve_with_assumptions(&[act]);
+        if s.solve_with_assumptions(&[act]) == SatOutcome::Unsat {
+            checks.push(certify_in_session(&mut session, &s, scope as u64));
+        }
         s.add_clause(&[-act]);
         s.simplify();
     }
-    s
+    (s, checks)
 }
 
 /// The search path itself, not only its verdicts: the summed counters
@@ -406,4 +429,81 @@ fn search_trajectory_is_pinned() {
     );
     assert_eq!(proof_bytes, 593_802, "total proof bytes");
     assert_eq!(hash, 0xd88a_fa65_ce78_a61e, "FNV-1a of the proof streams");
+}
+
+/// Summed checker counts over a run of checks, and an FNV-1a hash of
+/// their final clauses in order.
+#[derive(Debug, PartialEq, Eq)]
+struct CheckTotals {
+    /// `[steps, lemmas, deletions, core_lemmas, core_inputs]`.
+    counts: [usize; 5],
+    final_clauses: u64,
+}
+
+impl CheckTotals {
+    fn new() -> Self {
+        CheckTotals {
+            counts: [0; 5],
+            final_clauses: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn add(&mut self, out: &CheckOutcome) {
+        let counts = [
+            out.steps,
+            out.lemmas,
+            out.deletions,
+            out.core_lemmas,
+            out.core_inputs,
+        ];
+        for (t, c) in self.counts.iter_mut().zip(counts) {
+            *t += c;
+        }
+        let len = out.final_clause.len() as u32;
+        self.final_clauses = fnv1a(self.final_clauses, &len.to_le_bytes());
+        for l in &out.final_clause {
+            self.final_clauses = fnv1a(self.final_clauses, &l.to_le_bytes());
+        }
+    }
+}
+
+/// The checker's work, not only its verdicts: over the corpus of
+/// `search_trajectory_is_pinned`, the summed counts and final clauses of
+/// (a) a fresh `check_proof` of each session's final stream and (b) the
+/// one `ProofSession` each session fed at every Unsat must equal the
+/// constants below. A change to the checker's data layout must leave
+/// them alone: it checks the same lemmas and reaches the same cores.
+#[test]
+fn checker_outcome_is_pinned() {
+    let mut fresh = CheckTotals::new();
+    let mut session = CheckTotals::new();
+    let sessions = (1..=25u64)
+        .map(random_session_checks)
+        .chain(std::iter::once(large_session_checks()));
+    for (s, checks) in sessions {
+        let bytes = s.proof().expect("proof logging was started").bytes();
+        fresh.add(&check_proof(bytes).expect("final stream checks"));
+        for out in &checks {
+            session.add(out);
+        }
+    }
+    let fields = "summed [steps, lemmas, deletions, core_lemmas, core_inputs]";
+    assert_eq!(
+        fresh.counts,
+        [48_006, 11_037, 23_851, 51, 26],
+        "fresh checks: {fields}"
+    );
+    assert_eq!(
+        fresh.final_clauses, 0x0691_881e_1594_6bda,
+        "fresh checks: FNV-1a of the final clauses"
+    );
+    assert_eq!(
+        session.counts,
+        [43_143, 11_036, 19_096, 9_121, 2_434],
+        "session checks: {fields}"
+    );
+    assert_eq!(
+        session.final_clauses, 0xbb93_6e98_9c00_1eaa,
+        "session checks: FNV-1a of the final clauses"
+    );
 }
