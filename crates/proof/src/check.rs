@@ -47,14 +47,43 @@
 
 use std::collections::HashMap;
 
-use crate::parse::{parse_step, StepKind};
+use crate::parse::{parse_step, parse_step_into, StepKind};
 use crate::ProofError;
 
 const UNDEF: u8 = 2;
 const TRUE: u8 = 1;
 const FALSE: u8 = 0;
 
-const NO_REASON: u32 = u32::MAX;
+/// No clause: an unset `reason`, or the end of a copy chain.
+const NO_CLAUSE: u32 = u32::MAX;
+const NO_REASON: u32 = NO_CLAUSE;
+
+// Clause header layout, in arena words from the clause reference: the
+// length with the flags below in its top bits, the generation (bumped on
+// every reactivation; watch entries with an older stamp are stale and
+// dropped lazily), the two watched literals, the variable the clause
+// currently forces on the trail (0: none; checked against `reason[var]`
+// before trusting it), the session call whose checks last used the clause
+// (0: none), and the previous active copy with the same hash. The
+// literals follow, sorted by (variable, sign) and deduplicated.
+const H_LEN: usize = 0;
+const H_GEN: usize = 1;
+const H_W0: usize = 2;
+const H_W1: usize = 3;
+const H_REASON: usize = 4;
+const H_CORE: usize = 5;
+const H_PREV: usize = 6;
+const HEADER: usize = 7;
+const ACTIVE: u32 = 1 << 31;
+/// A later step of the stream deletes this copy.
+const DELETED: u32 = 1 << 30;
+/// A lemma some call of this session verified at its step.
+const VERIFIED: u32 = 1 << 29;
+const INPUT: u32 = 1 << 28;
+/// Contains both `l` and `¬l`: trivially valid and propagationally
+/// inert, so never watched and never RUP-checked.
+const TAUTOLOGY: u32 = 1 << 27;
+const LEN_MASK: u32 = TAUTOLOGY - 1;
 
 /// What one successful check reports. The counts cover this call's work
 /// only: the steps it parsed and the lemmas it verified. For
@@ -97,32 +126,6 @@ impl CheckOutcome {
     }
 }
 
-#[derive(Debug)]
-struct CClause {
-    /// Literals sorted by (variable, sign) and deduplicated.
-    lits: Vec<i32>,
-    /// The two watched literals (meaningful for watched clauses only).
-    w0: i32,
-    w1: i32,
-    active: bool,
-    /// Bumped on every reactivation; watch entries with an older stamp
-    /// are stale and dropped lazily.
-    gen: u32,
-    /// The session call whose checks last used this clause (0: none).
-    core: u32,
-    /// A lemma some call of this session verified at its step.
-    verified: bool,
-    /// A later step of the stream deletes this copy.
-    deleted: bool,
-    input: bool,
-    /// Contains both `l` and `¬l`: trivially valid and propagationally
-    /// inert, so never watched and never RUP-checked.
-    tautology: bool,
-    /// Variable this clause currently forces on the trail (0 = none);
-    /// checked against `reason[var]` before trusting it.
-    reason_var: i32,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     cref: u32,
@@ -143,15 +146,10 @@ fn enc(l: i32) -> usize {
     ((l.unsigned_abs() as usize - 1) << 1) | usize::from(l < 0)
 }
 
-/// Sorts by (variable, sign), dedups, and reports whether the clause is
-/// a tautology.
-fn normalize(mut lits: Vec<i32>) -> (Vec<i32>, bool) {
+/// Sorts by (variable, sign) and dedups, in place.
+fn normalize(lits: &mut Vec<i32>) {
     lits.sort_unstable_by_key(|&l| (l.unsigned_abs(), l < 0));
     lits.dedup();
-    let taut = lits
-        .windows(2)
-        .any(|w| w[0].unsigned_abs() == w[1].unsigned_abs());
-    (lits, taut)
 }
 
 /// FNV-1a over a normalized clause: the key of the deletion index.
@@ -163,7 +161,13 @@ fn clause_hash(lits: &[i32]) -> u64 {
 
 #[derive(Debug, Default)]
 struct Checker {
-    clauses: Vec<CClause>,
+    /// Every clause in one flat arena, in stream order: a header, then
+    /// the literals. A clause reference (`cref`) is the header's offset.
+    arena: Vec<i32>,
+    /// The newest active copy of each clause by [`clause_hash`] (deletions
+    /// name clauses by content; multiset semantics). Older copies with
+    /// the same hash are chained through their headers.
+    copies: HashMap<u64, u32>,
     /// `watches[enc(x)]`: clauses currently watching literal `x`.
     watches: Vec<Vec<Watch>>,
     /// Truth value per variable (1-based index).
@@ -183,6 +187,8 @@ struct Checker {
     dirty: bool,
     mark: Vec<u32>,
     stamp: u32,
+    /// The variables `mark_core` has yet to visit.
+    stack: Vec<usize>,
     /// The current session call, stamped on the clauses its checks use.
     call: u32,
     /// Lemmas this call marked that are not yet verified.
@@ -194,6 +200,32 @@ struct Checker {
 }
 
 impl Checker {
+    #[inline]
+    fn get(&self, cref: u32, field: usize) -> u32 {
+        self.arena[cref as usize + field] as u32
+    }
+
+    #[inline]
+    fn put(&mut self, cref: u32, field: usize, value: u32) {
+        self.arena[cref as usize + field] = value as i32;
+    }
+
+    #[inline]
+    fn has(&self, cref: u32, flag: u32) -> bool {
+        self.get(cref, H_LEN) & flag != 0
+    }
+
+    fn set(&mut self, cref: u32, flag: u32, on: bool) {
+        let word = self.get(cref, H_LEN) & !flag;
+        self.put(cref, H_LEN, if on { word | flag } else { word });
+    }
+
+    #[inline]
+    fn lits(&self, cref: u32) -> &[i32] {
+        let at = cref as usize + HEADER;
+        &self.arena[at..at + (self.get(cref, H_LEN) & LEN_MASK) as usize]
+    }
+
     fn reserve(&mut self, lits: &[i32]) {
         let maxv = lits.iter().map(|l| l.unsigned_abs()).max().unwrap_or(0) as usize;
         if maxv >= self.assign.len() {
@@ -205,27 +237,64 @@ impl Checker {
         }
     }
 
-    /// Adds an active, not yet attached clause.
-    fn new_clause(&mut self, lits: Vec<i32>, input: bool, tautology: bool) -> u32 {
-        self.reserve(&lits);
-        let cref = self.clauses.len() as u32;
+    /// Appends an active, not yet attached clause with the normalized
+    /// literals `lits`, as the newest copy of its content.
+    fn new_clause(&mut self, lits: &[i32], input: bool) -> u32 {
+        self.reserve(lits);
+        let at = self.arena.len();
+        assert!(
+            at < NO_CLAUSE as usize && lits.len() <= LEN_MASK as usize,
+            "checker arena exceeds 32-bit offsets"
+        );
+        let cref = at as u32;
         if lits.len() == 1 {
             self.units.push(cref);
         }
-        self.clauses.push(CClause {
-            lits,
-            w0: 0,
-            w1: 0,
-            active: true,
-            gen: 0,
-            core: 0,
-            verified: false,
-            deleted: false,
-            input,
-            tautology,
-            reason_var: 0,
-        });
+        let tautology = lits
+            .windows(2)
+            .any(|w| w[0].unsigned_abs() == w[1].unsigned_abs());
+        let flags = ACTIVE
+            | lits.len() as u32
+            | if input { INPUT } else { 0 }
+            | if tautology { TAUTOLOGY } else { 0 };
+        let prev = self.copies.insert(clause_hash(lits), cref);
+        let prev = prev.unwrap_or(NO_CLAUSE) as i32;
+        self.arena
+            .extend_from_slice(&[flags as i32, 0, 0, 0, 0, 0, prev]);
+        self.arena.extend_from_slice(lits);
         cref
+    }
+
+    /// Unlinks and returns the newest active copy of the normalized
+    /// clause `lits`, preferring a lemma copy over an input copy (inputs
+    /// are axioms; when the producer's root-level GC deletes an input
+    /// clause, its level-0-stripped form was also logged as a lemma, so
+    /// the lemma copy is the one to spend).
+    fn take_copy(&mut self, lits: &[i32]) -> Option<u32> {
+        let hash = clause_hash(lits);
+        // The chosen copy and the next newer copy on its chain.
+        let mut found: Option<(u32, u32)> = None;
+        let (mut newer, mut c) = (NO_CLAUSE, *self.copies.get(&hash)?);
+        while c != NO_CLAUSE {
+            if self.lits(c) == lits {
+                if !self.has(c, INPUT) {
+                    found = Some((c, newer));
+                    break;
+                }
+                found = found.or(Some((c, newer)));
+            }
+            (newer, c) = (c, self.get(c, H_PREV));
+        }
+        let (cref, newer) = found?;
+        let prev = self.get(cref, H_PREV);
+        if newer != NO_CLAUSE {
+            self.put(newer, H_PREV, prev);
+        } else if prev != NO_CLAUSE {
+            self.copies.insert(hash, prev);
+        } else {
+            self.copies.remove(&hash);
+        }
+        Some(cref)
     }
 
     #[inline]
@@ -249,14 +318,14 @@ impl Checker {
         self.trail_pos[v] = self.trail.len();
         self.trail.push(l);
         if r != NO_REASON {
-            self.clauses[r as usize].reason_var = v as i32;
+            self.put(r, H_REASON, v as u32);
         }
     }
 
     fn watch(&mut self, cref: u32, a: i32, b: i32) {
-        let gen = self.clauses[cref as usize].gen;
-        self.clauses[cref as usize].w0 = a;
-        self.clauses[cref as usize].w1 = b;
+        let gen = self.get(cref, H_GEN);
+        self.arena[cref as usize + H_W0] = a;
+        self.arena[cref as usize + H_W1] = b;
         self.watches[enc(a)].push(Watch {
             cref,
             gen,
@@ -272,11 +341,10 @@ impl Checker {
     /// Establishes the watch/unit invariants of an active clause under
     /// the *current* root assignment.
     fn attach(&mut self, cref: u32) {
-        let c = &self.clauses[cref as usize];
-        if c.tautology {
+        if self.has(cref, TAUTOLOGY) {
             return;
         }
-        match *c.lits.as_slice() {
+        match *self.lits(cref) {
             [] => self.falsified.push(cref),
             [l] => match self.value(l) {
                 UNDEF => self.assign_lit(l, cref),
@@ -284,7 +352,8 @@ impl Checker {
                 _ => {}
             },
             [l0, l1, ..] => {
-                let mut free = c.lits.iter().copied().filter(|&y| self.value(y) != FALSE);
+                let lits = self.lits(cref).iter().copied();
+                let mut free = lits.filter(|&y| self.value(y) != FALSE);
                 match (free.next(), free.next()) {
                     (Some(a), Some(b)) => self.watch(cref, a, b),
                     (Some(a), None) => {
@@ -311,9 +380,8 @@ impl Checker {
     /// Re-enters a clause the walk crosses backwards over its deletion
     /// step (or forwards over its addition step).
     fn reactivate(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.gen += 1;
-        c.active = true;
+        self.put(cref, H_GEN, self.get(cref, H_GEN) + 1);
+        self.set(cref, ACTIVE, true);
         self.attach(cref);
     }
 
@@ -333,9 +401,9 @@ impl Checker {
     }
 
     fn deactivate(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.active = false;
-        let rv = std::mem::take(&mut c.reason_var);
+        self.set(cref, ACTIVE, false);
+        let rv = self.get(cref, H_REASON);
+        self.put(cref, H_REASON, 0);
         if rv == 0 {
             return;
         }
@@ -347,7 +415,7 @@ impl Checker {
         match self.other_reason(self.trail[pos], pos) {
             Some(r) => {
                 self.reason[v] = r;
-                self.clauses[r as usize].reason_var = rv;
+                self.put(r, H_REASON, rv);
             }
             None => self.truncate_from(pos),
         }
@@ -360,11 +428,11 @@ impl Checker {
     /// with it as `l`'s reason.
     fn other_reason(&self, l: i32, pos: usize) -> Option<u32> {
         self.watches[enc(l)].iter().find_map(|w| {
-            let c = &self.clauses[w.cref as usize];
-            let forces = c.active
-                && c.gen == w.gen
-                && c.lits.contains(&l)
-                && c.lits.iter().all(|&y| {
+            let lits = self.lits(w.cref);
+            let forces = self.has(w.cref, ACTIVE)
+                && self.get(w.cref, H_GEN) == w.gen
+                && lits.contains(&l)
+                && lits.iter().all(|&y| {
                     y == l
                         || (self.value(y) == FALSE
                             && self.trail_pos[y.unsigned_abs() as usize] < pos)
@@ -387,25 +455,17 @@ impl Checker {
             'entries: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                {
-                    let c = &self.clauses[w.cref as usize];
-                    if !c.active || c.gen != w.gen {
-                        continue; // stale entry: drop
-                    }
+                if !self.has(w.cref, ACTIVE) || self.get(w.cref, H_GEN) != w.gen {
+                    continue; // stale entry: drop
                 }
                 if self.value(w.blocker) == TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let (other, falsified_is_w0) = {
-                    let c = &self.clauses[w.cref as usize];
-                    if c.w0 == -p {
-                        (c.w1, true)
-                    } else {
-                        (c.w0, false)
-                    }
-                };
+                let c = w.cref as usize;
+                let (w0, w1) = (self.arena[c + H_W0], self.arena[c + H_W1]);
+                let (other, falsified) = if w0 == -p { (w1, H_W0) } else { (w0, H_W1) };
                 if self.value(other) == TRUE {
                     ws[j] = Watch {
                         blocker: other,
@@ -414,22 +474,13 @@ impl Checker {
                     j += 1;
                     continue;
                 }
-                let replacement = {
-                    let c = &self.clauses[w.cref as usize];
-                    c.lits
-                        .iter()
-                        .copied()
-                        .find(|&y| y != c.w0 && y != c.w1 && self.value(y) != FALSE)
-                };
+                let replacement = self
+                    .lits(w.cref)
+                    .iter()
+                    .copied()
+                    .find(|&y| y != w0 && y != w1 && self.value(y) != FALSE);
                 if let Some(y) = replacement {
-                    {
-                        let c = &mut self.clauses[w.cref as usize];
-                        if falsified_is_w0 {
-                            c.w0 = y;
-                        } else {
-                            c.w1 = y;
-                        }
-                    }
+                    self.arena[c + falsified] = y;
                     self.watches[enc(y)].push(Watch {
                         blocker: other,
                         ..w
@@ -475,8 +526,7 @@ impl Checker {
         // entries until one is confirmed (kept for re-discovery) or the
         // list is empty.
         while let Some(&cref) = self.falsified.last() {
-            let c = &self.clauses[cref as usize];
-            if c.active && c.lits.iter().all(|&l| self.value(l) == FALSE) {
+            if self.has(cref, ACTIVE) && self.lits(cref).iter().all(|&l| self.value(l) == FALSE) {
                 return Some(Conflict {
                     cause: Some(cref),
                     lit: 0,
@@ -489,11 +539,10 @@ impl Checker {
             let mut confl = None;
             for k in 0..self.units.len() {
                 let cref = self.units[k];
-                let c = &self.clauses[cref as usize];
-                if !c.active {
+                if !self.has(cref, ACTIVE) {
                     continue;
                 }
-                let l = c.lits[0];
+                let l = self.lits(cref)[0];
                 match self.value(l) {
                     UNDEF => self.assign_lit(l, cref),
                     FALSE => {
@@ -524,17 +573,16 @@ impl Checker {
     /// input joins the call's input core, and a lemma no call has
     /// verified yet joins the lemmas the walk must still check.
     fn use_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        if c.core == self.call {
+        if self.get(cref, H_CORE) == self.call {
             return;
         }
-        c.core = self.call;
-        if c.input {
+        self.put(cref, H_CORE, self.call);
+        if self.has(cref, INPUT) {
             self.core_inputs += 1;
-        } else if !c.verified {
+        } else if !self.has(cref, VERIFIED) {
             self.core_lemmas += 1;
-            if c.tautology {
-                c.verified = true;
+            if self.has(cref, TAUTOLOGY) {
+                self.set(cref, VERIFIED, true);
             } else {
                 self.pending += 1;
             }
@@ -545,12 +593,10 @@ impl Checker {
     /// every reason clause reachable through the implication graph.
     fn mark_core(&mut self, confl: &Conflict) {
         self.stamp += 1;
-        let mut stack: Vec<usize> = Vec::new();
+        let mut stack = std::mem::take(&mut self.stack);
         if let Some(cref) = confl.cause {
             self.use_clause(cref);
-            for &l in &self.clauses[cref as usize].lits {
-                stack.push(l.unsigned_abs() as usize);
-            }
+            stack.extend(self.lits(cref).iter().map(|l| l.unsigned_abs() as usize));
         }
         if confl.lit != 0 {
             stack.push(confl.lit.unsigned_abs() as usize);
@@ -568,15 +614,14 @@ impl Checker {
                 continue;
             }
             self.use_clause(r);
-            for &l in &self.clauses[r as usize].lits {
-                stack.push(l.unsigned_abs() as usize);
-            }
+            stack.extend(self.lits(r).iter().map(|l| l.unsigned_abs() as usize));
         }
+        self.stack = stack;
     }
 
-    /// RUP check of `lits` against the currently active database,
+    /// RUP check of clause `cref` against the currently active database,
     /// marking antecedents core on success.
-    fn rup_check(&mut self, lits: &[i32]) -> bool {
+    fn rup_check(&mut self, cref: u32) -> bool {
         if let Some(c) = self.root_conflict() {
             self.mark_core(&c);
             return true;
@@ -584,7 +629,8 @@ impl Checker {
         let root_len = self.trail.len();
         debug_assert_eq!(self.qhead, root_len);
         let mut confl: Option<Conflict> = None;
-        for &l in lits {
+        for k in 0..self.lits(cref).len() {
+            let l = self.arena[cref as usize + HEADER + k];
             match self.value(l) {
                 // Asserting ¬l contradicts the root-propagated l: the
                 // conflict is l's own reason chain.
@@ -619,6 +665,48 @@ impl Checker {
         self.qhead = root_len;
         ok
     }
+
+    /// The first inconsistency in the arena, if any: headers that do not
+    /// parse exactly to the arena's end; a watch, `units`, `falsified` or
+    /// `reason` entry that is not a header (a cref that points into
+    /// literals reads a literal as a length); a copy-chain link (an index
+    /// entry, or the link of an undeleted copy) that does not name an
+    /// undeleted copy with the same hash. Only debug builds run it, after
+    /// every append and every forward replay.
+    fn arena_fault(&self) -> Option<String> {
+        let mut is_header = vec![false; self.arena.len()];
+        let mut at = 0;
+        while at < self.arena.len() {
+            let len = (self.get(at as u32, H_LEN) & LEN_MASK) as usize;
+            if at + HEADER + len > self.arena.len() {
+                return Some(format!("clause at {at} runs past the arena end"));
+            }
+            is_header[at] = true;
+            at += HEADER + len;
+        }
+        let header = |c: u32| is_header.get(c as usize).copied().unwrap_or(false);
+        let watches = self.watches.iter().flatten().map(|w| ("watch", w.cref));
+        let units = self.units.iter().map(|&c| ("units", c));
+        let falsified = self.falsified.iter().map(|&c| ("falsified", c));
+        let reasons = self.reason.iter().filter(|&&r| r != NO_REASON);
+        let mut entries = watches
+            .chain(units)
+            .chain(falsified)
+            .chain(reasons.map(|&r| ("reason", r)));
+        if let Some((what, c)) = entries.find(|&(_, c)| !header(c)) {
+            return Some(format!("{what} entry {c} is not a header"));
+        }
+        let index = self.copies.iter().map(|(&hash, &c)| (hash, c));
+        let links = (0..self.arena.len() as u32)
+            .filter(|&c| header(c) && !self.has(c, DELETED) && self.get(c, H_PREV) != NO_CLAUSE)
+            .map(|c| (clause_hash(self.lits(c)), self.get(c, H_PREV)));
+        for (hash, c) in index.chain(links) {
+            if !header(c) || self.has(c, DELETED) || clause_hash(self.lits(c)) != hash {
+                return Some(format!("copy link to {c} is not an undeleted copy"));
+            }
+        }
+        None
+    }
 }
 
 /// One consumed step: its kind, the clause copy it adds or deletes, and
@@ -640,9 +728,8 @@ pub struct ProofSession {
     /// The stream bytes consumed so far; every call must extend them.
     seen: Vec<u8>,
     steps: Vec<StepRec>,
-    /// Active clause copies by [`clause_hash`] of their normalized
-    /// literals (deletions name clauses by content; multiset semantics).
-    copies: HashMap<u64, Vec<u32>>,
+    /// The literals of the step being parsed.
+    buf: Vec<i32>,
     /// The clause of the stream's last lemma.
     last_lemma: Option<u32>,
     chk: Checker,
@@ -675,13 +762,9 @@ impl ProofSession {
     }
 
     fn advance(&mut self, bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
-        let changed = self
-            .seen
-            .iter()
-            .zip(bytes)
-            .position(|(a, b)| a != b)
-            .or((bytes.len() < self.seen.len()).then_some(bytes.len()));
-        if let Some(offset) = changed {
+        if !bytes.starts_with(&self.seen) {
+            let differs = self.seen.iter().zip(bytes).position(|(a, b)| a != b);
+            let offset = differs.unwrap_or(bytes.len());
             return Err(ProofError::PrefixChanged { offset });
         }
         let (inputs, lemmas, deletions) = self.append(bytes)?;
@@ -692,7 +775,7 @@ impl ProofSession {
         chk.core_inputs = 0;
         chk.use_clause(target_cref);
         self.walk()?;
-        let mut final_clause = self.chk.clauses[target_cref as usize].lits.clone();
+        let mut final_clause = self.chk.lits(target_cref).to_vec();
         final_clause.sort_unstable();
         Ok(CheckOutcome {
             steps: inputs + lemmas + deletions,
@@ -710,18 +793,16 @@ impl ProofSession {
     /// new input, lemma and deletion counts.
     fn append(&mut self, bytes: &[u8]) -> Result<(usize, usize, usize), ProofError> {
         let (mut inputs, mut lemmas, mut deletions) = (0, 0, 0);
-        let first_new = self.chk.clauses.len();
+        let first_new = self.steps.len();
         let mut pos = self.seen.len();
         while pos < bytes.len() {
-            let (step, next) = parse_step(bytes, pos)?;
+            let (kind, next) = parse_step_into(bytes, pos, &mut self.buf)?;
+            normalize(&mut self.buf);
             let index = self.steps.len();
-            let cref = match step.kind {
+            let cref = match kind {
                 StepKind::Input | StepKind::Add => {
-                    let (lits, taut) = normalize(step.lits);
-                    let is_input = step.kind == StepKind::Input;
-                    let hash = clause_hash(&lits);
-                    let cref = self.chk.new_clause(lits, is_input, taut);
-                    self.copies.entry(hash).or_default().push(cref);
+                    let is_input = kind == StepKind::Input;
+                    let cref = self.chk.new_clause(&self.buf, is_input);
                     if is_input {
                         inputs += 1;
                     } else {
@@ -732,54 +813,38 @@ impl ProofSession {
                 }
                 StepKind::Delete => {
                     deletions += 1;
-                    let (lits, _) = normalize(step.lits);
-                    let cref = self
-                        .take_copy(&lits)
-                        .ok_or_else(|| ProofError::BogusDeletion {
-                            step: index,
-                            clause: parse_step(bytes, pos).expect("parsed above").0.lits,
-                        })?;
-                    self.chk.clauses[cref as usize].deleted = true;
+                    let cref =
+                        self.chk
+                            .take_copy(&self.buf)
+                            .ok_or_else(|| ProofError::BogusDeletion {
+                                step: index,
+                                clause: parse_step(bytes, pos).expect("parsed above").0.lits,
+                            })?;
+                    self.chk.set(cref, DELETED, true);
                     self.chk.deactivate(cref);
                     cref
                 }
             };
             self.steps.push(StepRec {
-                kind: step.kind,
+                kind,
                 cref,
                 at: pos,
             });
             pos = next;
         }
         // Clauses added and deleted within the suffix are never attached.
-        for cref in first_new as u32..self.chk.clauses.len() as u32 {
-            if self.chk.clauses[cref as usize].active {
-                self.chk.attach(cref);
+        for rec in &self.steps[first_new..] {
+            if rec.kind != StepKind::Delete && self.chk.has(rec.cref, ACTIVE) {
+                self.chk.attach(rec.cref);
             }
         }
         self.seen.extend_from_slice(&bytes[self.seen.len()..]);
+        debug_assert_eq!(
+            self.chk.arena_fault(),
+            None,
+            "checker arena after an append"
+        );
         Ok((inputs, lemmas, deletions))
-    }
-
-    /// Retires the last active copy of the normalized clause `lits`,
-    /// preferring a lemma copy over an input copy (inputs are axioms;
-    /// when the producer's root-level GC deletes an input clause, its
-    /// level-0-stripped form was also logged as a lemma, so the lemma
-    /// copy is the one to spend).
-    fn take_copy(&mut self, lits: &[i32]) -> Option<u32> {
-        let hash = clause_hash(lits);
-        let list = self.copies.get_mut(&hash)?;
-        let clauses = &self.chk.clauses;
-        let same = |c: u32| clauses[c as usize].lits == lits;
-        let pos = list
-            .iter()
-            .rposition(|&c| same(c) && !clauses[c as usize].input)
-            .or_else(|| list.iter().rposition(|&c| same(c)))?;
-        let cref = list.remove(pos);
-        if list.is_empty() {
-            self.copies.remove(&hash);
-        }
-        Some(cref)
     }
 
     /// Walks backwards from the end of the stream, reactivating deleted
@@ -799,10 +864,8 @@ impl ProofSession {
                 StepKind::Input => {}
                 StepKind::Add => {
                     chk.deactivate(cref);
-                    let c = &chk.clauses[cref as usize];
-                    if c.core == chk.call && !c.verified {
-                        let lits = c.lits.clone();
-                        if !chk.rup_check(&lits) {
+                    if chk.get(cref, H_CORE) == chk.call && !chk.has(cref, VERIFIED) {
+                        if !chk.rup_check(cref) {
                             let (step, _) =
                                 parse_step(&self.seen, at).expect("consumed steps parse");
                             return Err(ProofError::LemmaNotImplied {
@@ -810,7 +873,7 @@ impl ProofSession {
                                 clause: step.lits,
                             });
                         }
-                        chk.clauses[cref as usize].verified = true;
+                        chk.set(cref, VERIFIED, true);
                         chk.pending -= 1;
                     }
                 }
@@ -821,12 +884,13 @@ impl ProofSession {
                 StepKind::Delete => chk.deactivate(rec.cref),
                 StepKind::Input => {}
                 StepKind::Add => {
-                    if !chk.clauses[rec.cref as usize].deleted {
+                    if !chk.has(rec.cref, DELETED) {
                         chk.reactivate(rec.cref);
                     }
                 }
             }
         }
+        debug_assert_eq!(chk.arena_fault(), None, "checker arena after a replay");
         Ok(())
     }
 }
@@ -1088,9 +1152,9 @@ mod tests {
         // `11` is first forced by the unit lemma; the input `¬10 ∨ 11`
         // forces it too, from `10`, which sits earlier on the trail.
         let mut chk = Checker::default();
-        let unit = chk.new_clause(vec![10], true, false);
-        let lemma = chk.new_clause(vec![11], false, false);
-        let input = chk.new_clause(vec![-10, 11], true, false);
+        let unit = chk.new_clause(&[10], true);
+        let lemma = chk.new_clause(&[11], false);
+        let input = chk.new_clause(&[-10, 11], true);
         for cref in [unit, lemma, input] {
             chk.attach(cref);
         }

@@ -40,6 +40,18 @@ pub fn parse_proof(bytes: &[u8]) -> Result<Vec<Step>, ProofError> {
 /// offset just past it. Error offsets index `bytes`, so a caller that
 /// parses a suffix in place gets offsets into the whole stream.
 pub(crate) fn parse_step(bytes: &[u8], pos: usize) -> Result<(Step, usize), ProofError> {
+    let mut lits = Vec::new();
+    let (kind, next) = parse_step_into(bytes, pos, &mut lits)?;
+    Ok((Step { kind, lits }, next))
+}
+
+/// [`parse_step`] into the reused buffer `lits`, which it clears first,
+/// returning the step's kind and the offset just past it.
+pub(crate) fn parse_step_into(
+    bytes: &[u8],
+    pos: usize,
+    lits: &mut Vec<i32>,
+) -> Result<(StepKind, usize), ProofError> {
     let kind = match bytes.get(pos) {
         Some(&TAG_INPUT) => StepKind::Input,
         Some(&TAG_ADD) => StepKind::Add,
@@ -52,14 +64,14 @@ pub(crate) fn parse_step(bytes: &[u8], pos: usize) -> Result<(Step, usize), Proo
         }
     };
     let mut pos = pos + 1;
-    let mut lits = Vec::new();
+    lits.clear();
     loop {
         let (next, lit) = decode_lit(bytes, pos)
             .map_err(|(offset, detail)| ProofError::Malformed { offset, detail })?;
         pos = next;
         match lit {
             Some(l) => lits.push(l),
-            None => return Ok((Step { kind, lits }, pos)),
+            None => return Ok((kind, pos)),
         }
     }
 }
