@@ -1,14 +1,18 @@
 //! Timing benches for the SMT substrate: SAT on structured and random
-//! instances, an incremental SAT session shaped like the SMT layer's, and
-//! bit-blasting of the operators the kernel leans on. Runs offline with
-//! no harness dependencies (`cargo bench -p hk-bench --bench solver`).
+//! instances, an incremental SAT session shaped like the SMT layer's, the
+//! DRAT checker on that session's proof, and bit-blasting of the
+//! operators the kernel leans on. Runs offline with no harness
+//! dependencies (`cargo bench -p hk-bench --bench solver`).
 //!
 //! `sat_incremental_session` prints its conflict count and rate next to
 //! the time, so a change to the CDCL core can be read in seconds: the
 //! same count on both sides means the same search, and the rate is then
-//! the speed of the core alone.
+//! the speed of the core alone. `proof_session` does the same for the
+//! checker: the same steps and core lemmas on both sides mean the same
+//! checking work, and steps/s is then the speed of the checker alone.
 
 use hk_bench::{bench_loop, XorShift64};
+use hk_proof::ProofSession;
 use hk_smt::{Ctx, SatResult, SatSolver, Solver, Sort};
 
 /// Adds pigeonhole `n` into `n - 1` to `s`, each clause extended by the
@@ -84,11 +88,17 @@ fn random_3cnf(rng: &mut XorShift64, vars: u32, clauses: usize) {
 /// activation-guarded scopes of random 3-CNF near the threshold ratio and
 /// of pigeonhole, each solved under its activation literal and then
 /// retired with the unit `-act` and root-level GC (`simplify`), on the
-/// default `SatConfig`. Returns the session's conflicts.
-fn sat_incremental_session() -> u64 {
+/// default `SatConfig`. With `log_proof`, the core logs a DRAT stream,
+/// and the stream's length after each scope's solve is returned with the
+/// solver.
+fn incremental_session(log_proof: bool) -> (SatSolver, Vec<usize>) {
     const VARS: u32 = 200;
     let mut rng = XorShift64::new(0x5a7_5e55);
     let mut s = SatSolver::new();
+    if log_proof {
+        s.start_proof();
+    }
+    let mut solved = Vec::new();
     for scope in 0..6 {
         let act = VARS as i32 + 1 + scope;
         if scope % 3 == 2 {
@@ -103,10 +113,25 @@ fn sat_incremental_session() -> u64 {
             );
         }
         std::hint::black_box(s.solve_with_assumptions(&[act]));
+        solved.extend(s.proof().map(|p| p.byte_len()));
         s.add_clause(&[-act]);
         s.simplify();
     }
-    s.stats.conflicts
+    (s, solved)
+}
+
+/// Checks the proof of `incremental_session` as the incremental engine
+/// does: one `ProofSession` fed the stream as it stood after each scope's
+/// solve. Returns the steps and the core lemmas the session checked.
+fn proof_session(bytes: &[u8], solved: &[usize]) -> (usize, usize) {
+    let mut session = ProofSession::new();
+    let (mut steps, mut core) = (0, 0);
+    for &end in solved {
+        let out = session.check(&bytes[..end]).expect("the proof checks");
+        steps += out.steps;
+        core += out.core_lemmas;
+    }
+    (steps, core)
 }
 
 fn main() {
@@ -118,12 +143,23 @@ fn main() {
     });
     let mut conflicts = 0;
     let best = bench_loop("sat_incremental_session", 3, || {
-        conflicts = sat_incremental_session();
+        conflicts = incremental_session(false).0.stats.conflicts;
     });
     println!(
         "{:<28} {conflicts} conflicts, {:.0} conflicts/s at the min",
         "",
         conflicts as f64 / best.as_secs_f64()
+    );
+    let (s, solved) = incremental_session(true);
+    let bytes = s.proof().expect("proof logging was started").bytes();
+    let (mut steps, mut core) = (0, 0);
+    let best = bench_loop("proof_session", 3, || {
+        (steps, core) = proof_session(bytes, &solved);
+    });
+    println!(
+        "{:<28} {steps} steps, {core} core lemmas, {:.0} steps/s at the min",
+        "",
+        steps as f64 / best.as_secs_f64()
     );
 
     println!("== bitblast ==");
