@@ -6,7 +6,7 @@
 //! execution, with source-span diagnostics, instead of letting a
 //! non-finite or UB-prone handler fail late inside the solver:
 //!
-//! * [`cfg`] — per-function CFG, dominator tree, natural loops;
+//! * [`cfg`](mod@cfg) — per-function CFG, dominator tree, natural loops;
 //! * [`dataflow`] — a small forward-dataflow engine;
 //! * [`callgraph`] — interprocedural call graph, recursion detection,
 //!   and the worst-case stack bound `checkers` consumes;

@@ -22,9 +22,9 @@ use crate::ulib::{PageBudget, UserVm};
 
 /// Request opcodes.
 pub mod op {
-    /// Create a file: path -> [inum].
+    /// Create a file: path -> \[inum\].
     pub const CREATE: i64 = 1;
-    /// Create a directory: path -> [inum].
+    /// Create a directory: path -> \[inum\].
     pub const MKDIR: i64 = 2;
     /// Read: a=off, b=len, path -> data.
     pub const READ: i64 = 3;
