@@ -433,7 +433,6 @@ fn search_trajectory_is_pinned() {
 
 /// Summed checker counts over a run of checks, and an FNV-1a hash of
 /// their final clauses in order.
-#[derive(Debug, PartialEq, Eq)]
 struct CheckTotals {
     /// `[steps, lemmas, deletions, core_lemmas, core_inputs]`.
     counts: [usize; 5],
